@@ -5,8 +5,9 @@ Three layers:
 - ``dist``: exact distributions over hashable states, separation and
   total-variation distances, statistic pushforwards, kernel evolution.
 - ``shuffles`` / ``verify``: deck chains (random-to-top, its lazy one-card
-  variant, inverse riffle), deck statistics, and certification of
-  conditional laws by exhaustive path enumeration.
+  variant, inverse riffle), deck statistics, and exact certification of
+  conditional laws by a lumped dynamic program, checked against
+  exhaustive path enumeration.
 - ``cycle``: alternating decompositions of balanced colorings on an even
   cycle, coverage and distance stopping-time tails, and quantitative
   mixing guarantees for the lazy walk.
@@ -41,6 +42,7 @@ from .shuffles import (
     walk1_kernel,
 )
 from .verify import (
+    InvariantError,
     MonteCarloReport,
     Path,
     PredicateKind,
@@ -100,6 +102,7 @@ __all__ = [
     "riffle_kernel",
     "stationary_statistic_distribution",
     "walk1_kernel",
+    "InvariantError",
     "MonteCarloReport",
     "Path",
     "PredicateKind",

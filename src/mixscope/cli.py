@@ -53,6 +53,7 @@ from .dist import (
 from .shuffles import parse_statistic, stationary_statistic_distribution
 from .verify import (
     CHAINS,
+    InvariantError,
     check_strong_stationarity,
     count_nonnegative_paths,
     monte_carlo_conditional,
@@ -485,6 +486,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _error_line("usage", str(exc))
         return 2
+    except InvariantError as exc:
+        _error_line("internal", str(exc))
+        return 4
     except (ValueError, KeyError) as exc:
         _error_line("usage", str(exc))
         return 2

@@ -1,4 +1,4 @@
-"""Path-level certification of strong stationarity for deck statistics.
+"""Certification of strong stationarity for deck statistics, and its oracles.
 
 The certification question: after t steps of a chain, conditional on a path
 event having occurred, is the law of a statistic exactly its stationary
@@ -6,16 +6,25 @@ law?  If yes, and the event has probability q, the statistic's separation
 distance from stationarity is at most 1 - q, because every value a then
 satisfies Pr(f(X_t) = a) >= q * f(pi)(a).
 
-Everything here is exhaustive and exact: paths are enumerated with their
-rational weights, predicates are evaluated on full path prefixes (moves and
-intermediate decks), and certification means exact equality of the
-conditional and stationary laws, value by value.  Enumeration is the ground
-truth; bookkeeping errors in pencil-and-paper path arguments are exactly
-what it exists to catch.  A seeded Monte-Carlo fallback estimates the same
-quantities but never certifies.
+Everything here is exhaustive and exact.  Certification runs a forward
+dynamic program over lumped states (deck, predicate summary, seen-true
+flag) with integer counts over the chain's common denominator D, dividing
+by D^t once at the end (the lumped-chain construction of Kemeny and Snell).
+The summary is all a predicate can depend on: for card-choice chains the
+distinct chosen cards, most recent first; for the inverse riffle a bitmask
+of which adjacent deck positions hold different sort keys.  Certification
+means exact equality of the conditional and stationary laws, value by
+value.  The budget still counts the paths the lumped states stand for.
+
+Path enumeration stays as the independent oracle: every path with its
+rational weight, predicates evaluated on full path prefixes (moves and
+intermediate decks).  Bookkeeping errors in pencil-and-paper path
+arguments, and in the lumping, are exactly what it exists to catch.  A
+seeded Monte-Carlo fallback estimates the same quantities but never
+certifies.
 
 Predicates need not be stable (true-once-true-forever); the report states
-whether the one checked was stable along every enumerated path.
+whether the one checked was stable along every path.
 """
 
 from __future__ import annotations
@@ -61,6 +70,10 @@ RIFFLE_PREDICATES = (
     "riffle_blocks_nonoverlapping",
 )
 PREDICATE_KINDS = ("always",) + CHOICE_PREDICATES + RIFFLE_PREDICATES
+
+
+class InvariantError(RuntimeError):
+    """An exact computation broke one of its own invariants (a program bug)."""
 
 
 @dataclass(frozen=True)
@@ -205,35 +218,52 @@ def path_count(chain: str, n: int, t: int) -> int:
     raise ValueError(f"unknown chain {chain!r}; expected one of {CHAINS}")
 
 
+def _require_path_budget(chain: str, n: int, t: int) -> None:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    require_within_budget(path_count(chain, n, t), f"path enumeration {chain} n={n} t={t}",
+                          "use Monte-Carlo mode")
+
+
+def chain_branches(chain: str, n: int) -> tuple:
+    """(branches, D): one step's moves as (move, multiplicity) pairs over a
+    common denominator D, so a move has probability Fraction(multiplicity, D).
+
+    rtt: the n to-top moves, 1 each, D = n.  walk1: the n to-top moves, 1
+    each, and top-to-bottom with n, D = 2n.  riffle: the 2^n bit columns,
+    1 each, D = 2^n.
+    """
+    if chain == "rtt":
+        return [(to_top(c), 1) for c in range(1, n + 1)], n
+    if chain == "walk1":
+        return [(to_top(c), 1) for c in range(1, n + 1)] + [(TOP_TO_BOTTOM, n)], 2 * n
+    if chain == "riffle":
+        return [(col, 1) for col in itertools.product("01", repeat=n)], 2 ** n
+    raise ValueError(f"unknown chain {chain!r}; expected one of {CHAINS}")
+
+
+def _step(chain: str, deck: tuple, move) -> tuple:
+    if chain == "riffle":
+        return inverse_riffle_apply(deck, move)
+    return apply_move(deck, move)
+
+
 def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
     """Yield every length-t path of the chain with its exact weight.
 
     Weights over all yielded paths sum to 1.  Budget-checked up front.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    count = path_count(chain, n, t)
-    require_within_budget(count, f"path enumeration {chain} n={n} t={t}",
-                          "use Monte-Carlo mode")
+    _require_path_budget(chain, n, t)
     if start is None:
         start = identity_deck(n)
-    if chain == "rtt":
-        branches = [(to_top(c), Fraction(1, n)) for c in range(1, n + 1)]
-    elif chain == "walk1":
-        branches = [(to_top(c), Fraction(1, 2 * n)) for c in range(1, n + 1)]
-        branches.append((TOP_TO_BOTTOM, Fraction(1, 2)))
-    else:
-        cols = list(itertools.product("01", repeat=n))
-        branches = [(col, Fraction(1, 2 ** n)) for col in cols]
+    moves, denom = chain_branches(chain, n)
+    branches = [(move, Fraction(m, denom)) for move, m in moves]
     for combo in itertools.product(branches, repeat=t):
         decks = [start]
         weight = Fraction(1)
-        for step, p in combo:
+        for move, p in combo:
             weight *= p
-            if chain == "riffle":
-                decks.append(inverse_riffle_apply(decks[-1], step))
-            else:
-                decks.append(apply_move(decks[-1], step))
+            decks.append(_step(chain, decks[-1], move))
         yield Path(chain, start, tuple(s for s, _ in combo), tuple(decks), weight)
 
 
@@ -256,7 +286,7 @@ def conditional_statistic_distribution(paths, predicate: PredicateKind,
             v = evaluate_statistic(statistic, path.decks[-1])
             tally[v] = tally.get(v, Fraction(0)) + path.weight
     if total != 1:
-        raise ValueError(f"path weights sum to {total}, not 1; enumeration not exhaustive")
+        raise InvariantError(f"path weights sum to {total}, not 1; enumeration not exhaustive")
     if q == 0:
         raise ValueError("predicate never satisfied")
     values = sorted(tally, key=_canon_key)
@@ -282,6 +312,67 @@ class SSTReport:
     predicate_stable: bool
 
 
+def _advance_summary(chain: str, deck: tuple, summary, move, new_deck: tuple):
+    """The predicate summary after one move from (deck, summary) to new_deck.
+
+    Choice chains: the distinct chosen cards, most recent first.  Riffle:
+    bit i is set when positions i and i+1 hold different reversed strings
+    (sort keys).  The stable sort keeps equal keys contiguous, so two cards
+    share a key exactly when no set bit lies between them; after the step
+    they share one when they also drew the same bit.
+    """
+    if chain != "riffle":
+        if move.kind != "to_top":
+            return summary
+        return (move.card,) + tuple(c for c in summary if c != move.card)
+    key_class, k = {}, 0
+    for i, c in enumerate(deck):
+        if i and summary >> (i - 1) & 1:
+            k += 1
+        key_class[c] = k
+    mask = 0
+    for i in range(len(new_deck) - 1):
+        a, b = new_deck[i], new_deck[i + 1]
+        if move[a - 1] != move[b - 1] or key_class[a] != key_class[b]:
+            mask |= 1 << i
+    return mask
+
+
+def _summary_holds(pred: PredicateKind, deck: tuple, summary) -> bool:
+    """predicate_holds on any path that reaches (deck, summary)."""
+    k, ps = pred.kind, pred.params
+    n = len(deck)
+    if k == "always":
+        return True
+    if k == "k_distinct":
+        return len(summary) >= ps[0]
+    if k == "all_chosen":
+        return len(summary) == n
+    if k == "card_chosen":
+        return ps[0] in summary
+    if k == "any_of_chosen":
+        return any(c in summary for c in ps)
+    if k == "any_to_top":
+        return bool(summary)
+    if k == "chosen_more_recently_than":
+        c, need = ps
+        # c's index in the recency tuple counts the distinct cards chosen since
+        return c in summary and summary.index(c) >= need
+
+    def split(i):
+        return summary >> i & 1
+
+    if k == "riffle_first_j_strings_distinct":
+        return all(split(i) for i in range(min(ps[0], n - 1)))
+    if k == "riffle_set_strings_distinct":
+        positions = [deck.index(c) for c in ps]
+        return all((p == 0 or split(p - 1)) and (p == n - 1 or split(p)) for p in positions)
+    if k == "riffle_blocks_nonoverlapping":
+        b = ps[0]
+        return all(split(i * b - 1) for i in range(1, n // b))
+    raise AssertionError(k)
+
+
 def check_strong_stationarity(chain: str, n: int, t: int,
                               predicate: PredicateKind,
                               statistic: StatisticKind) -> SSTReport:
@@ -291,28 +382,49 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     separation of the statistic at time t is at most 1 - q.  Refutation
     reports the largest pointwise deviation.  predicate_stable records
     whether the predicate, once true along a path, stayed true.
+
+    Runs the lumped dynamic program; the budget is charged for the paths
+    it stands for.  enumerate_paths gives the same report path by path.
     """
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
-    q = Fraction(0)
-    tally: dict = {}
+    _require_path_budget(chain, n, t)
+    branches, denom = chain_branches(chain, n)
+    summary = 0 if chain == "riffle" else ()
+    # (deck, summary, held at some earlier step) -> number of paths
+    states = {(identity_deck(n), summary, False): 1}
     stable = True
-    for path in enumerate_paths(chain, n, t):
-        seen = False
-        holds = False
-        for s in range(t + 1):
-            holds = predicate_holds(predicate, path, s)
+    for step in range(t + 1):
+        nxt: dict = {}
+        for (deck, summary, seen), count in states.items():
+            holds = _summary_holds(predicate, deck, summary)
             if seen and not holds:
                 stable = False
+            if step == t:
+                key = (deck, holds)
+                nxt[key] = nxt.get(key, 0) + count
+                continue
             seen = seen or holds
+            for move, m in branches:
+                new_deck = _step(chain, deck, move)
+                key = (new_deck, _advance_summary(chain, deck, summary, move, new_deck), seen)
+                nxt[key] = nxt.get(key, 0) + count * m
+        states = nxt
+    total = sum(states.values())
+    if total != denom ** t:
+        raise InvariantError(f"lumped counts sum to {total}, not {denom}^{t}")
+    hits = 0
+    tally: dict = {}
+    for (deck, holds), count in states.items():
         if holds:
-            q += path.weight
-            v = evaluate_statistic(statistic, path.decks[-1])
-            tally[v] = tally.get(v, Fraction(0)) + path.weight
-    if q == 0:
+            hits += count
+            v = evaluate_statistic(statistic, deck)
+            tally[v] = tally.get(v, 0) + count
+    if hits == 0:
         raise ValueError("predicate never satisfied")
+    q = Fraction(hits, denom ** t)
     values = sorted(tally, key=_canon_key)
-    conditional = Distribution(tuple(values), tuple(tally[v] / q for v in values))
+    conditional = Distribution(tuple(values), tuple(Fraction(tally[v], hits) for v in values))
     target = stationary_statistic_distribution(n, statistic)
     cond_map = conditional.as_mapping()
     target_map = target.as_mapping()
@@ -464,10 +576,7 @@ def _sample_path(chain: str, n: int, t: int, rng: random.Random) -> Path:
         else:
             mv = tuple(rng.choice("01") for _ in range(n))
         moves.append(mv)
-        if chain == "riffle":
-            decks.append(inverse_riffle_apply(decks[-1], mv))
-        else:
-            decks.append(apply_move(decks[-1], mv))
+        decks.append(_step(chain, decks[-1], mv))
     return Path(chain, start, tuple(moves), tuple(decks), Fraction(0))
 
 

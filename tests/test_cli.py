@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mixscope import verify
 from mixscope.cli import main
 
 
@@ -255,6 +256,24 @@ class TestExitCodes:
                                "--predicate", "k_distinct:2")
         assert code == 3
         assert json.loads(err.splitlines()[0])["error"]["code"] == "capacity"
+
+    def test_broken_invariant_is_internal(self, capsys, monkeypatch):
+        """Lumped counts that miss the total mass exit 4, not usage."""
+        real = verify.chain_branches
+
+        def lossy(chain, n):
+            branches, denom = real(chain, n)
+            return branches[1:], denom
+
+        monkeypatch.setattr(verify, "chain_branches", lossy)
+        code, out, err = run_cli(capsys, "sst-check", "--chain", "rtt", "--n", "3",
+                                 "--t", "2", "--statistic", "top_card",
+                                 "--predicate", "any_to_top")
+        assert code == 4
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "internal"
+        assert "not 3^2" in error["message"]
 
     def test_invalid_budget_is_usage_error_everywhere(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXSCOPE_BUDGET", "frog")

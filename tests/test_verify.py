@@ -13,8 +13,9 @@ import pytest
 
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
-from mixscope.shuffles import parse_statistic
+from mixscope.shuffles import parse_statistic, stationary_statistic_distribution
 from mixscope.verify import (
+    InvariantError,
     Path,
     check_strong_stationarity,
     conditional_statistic_distribution,
@@ -88,6 +89,13 @@ class TestConditionalLaws:
         q, cond = conditional_statistic_distribution(paths, pred, stat, 2)
         assert q == F(3, 4)
         assert cond.as_mapping() == {1: F(4, 9), 2: F(1, 3), 3: F(2, 9)}
+
+    def test_non_exhaustive_paths_break_an_invariant(self):
+        paths = list(enumerate_paths("rtt", 3, 1))[1:]
+        pred = parse_predicate("always", 3, "rtt")
+        stat = parse_statistic("top_card", 3)
+        with pytest.raises(InvariantError, match="not 1"):
+            conditional_statistic_distribution(paths, pred, stat, 1)
 
     def test_never_satisfied_predicate_errors(self):
         paths = enumerate_paths("rtt", 3, 1)
@@ -267,6 +275,82 @@ class TestWalk1Position:
             walk1_position_distribution(3, 1, 4)
         with pytest.raises(ValueError):
             walk1_position_distribution(3, -1, 2)
+
+
+def oracle_predicates(chain, n):
+    """Every predicate kind, with parameters at both ends of their ranges."""
+    if chain == "riffle":
+        return (["always", "riffle_set_strings_distinct:1",
+                 f"riffle_set_strings_distinct:1,{n}"]
+                + [f"riffle_first_j_strings_distinct:{j}" for j in range(1, n + 1)]
+                + [f"riffle_blocks_nonoverlapping:{b}"
+                   for b in range(1, n + 1) if n % b == 0])
+    return (["always", "all_chosen", "any_to_top", "card_chosen:1",
+             f"card_chosen:{n}", "any_of_chosen:1,2"]
+            + [f"k_distinct:{k}" for k in range(1, n + 1)]
+            + [f"chosen_more_recently_than:{c},{k}" for c in (1, n) for k in range(1, n)])
+
+
+def path_stability(paths, pred, t):
+    """False when the predicate, once true along some path, turns false."""
+    for path in paths:
+        flags = [predicate_holds(pred, path, s) for s in range(t + 1)]
+        if True in flags and not all(flags[flags.index(True):]):
+            return False
+    return True
+
+
+def path_oracle(paths, pred, stat, n, t):
+    """(q, conditional, deviation) from enumerated paths alone."""
+    q, cond = conditional_statistic_distribution(paths, pred, stat, t)
+    target = stationary_statistic_distribution(n, stat).as_mapping()
+    law = cond.as_mapping()
+    deviation = max(abs(law.get(v, 0) - target.get(v, 0)) for v in set(law) | set(target))
+    return q, cond, deviation
+
+
+class TestLumpedMatchesPaths:
+    """check_strong_stationarity's lumped program against path enumeration."""
+
+    STATISTICS = ("top_card", "top_k_order:2", "relative_order:1,2", "position_of:1",
+                  "parity")
+
+    @pytest.mark.parametrize("chain,max_t", [("rtt", 4), ("walk1", 4), ("riffle", 2)])
+    def test_every_predicate_kind(self, chain, max_t):
+        unstable = set()
+        for n in (2, 3, 4):
+            for t in range(max_t + 1):
+                paths = list(enumerate_paths(chain, n, t))
+                for ptext in oracle_predicates(chain, n):
+                    pred = parse_predicate(ptext, n, chain)
+                    stable = path_stability(paths, pred, t)
+                    if not stable:
+                        unstable.add(ptext.partition(":")[0])
+                    for stext in self.STATISTICS:
+                        stat = parse_statistic(stext, n)
+                        try:
+                            q, cond, deviation = path_oracle(paths, pred, stat, n, t)
+                        except ValueError as exc:
+                            assert "never satisfied" in str(exc)
+                            with pytest.raises(ValueError, match="never satisfied"):
+                                check_strong_stationarity(chain, n, t, pred, stat)
+                            continue
+                        rep = check_strong_stationarity(chain, n, t, pred, stat)
+                        case = (chain, n, t, ptext, stext)
+                        assert rep.q == q, case
+                        assert rep.conditional == cond, case
+                        assert rep.max_pointwise_deviation == deviation, case
+                        assert rep.is_strongly_stationary == (deviation == 0), case
+                        assert rep.predicate_stable == stable, case
+        if chain == "riffle":
+            assert "riffle_first_j_strings_distinct" in unstable
+            # the empty prefix already has nonoverlapping n-blocks
+            rep = check_strong_stationarity(
+                "riffle", 4, 0, parse_predicate("riffle_blocks_nonoverlapping:4", 4, "riffle"),
+                parse_statistic("top_card", 4))
+            assert rep.q == 1
+        else:
+            assert "chosen_more_recently_than" in unstable
 
 
 class TestAlwaysPredicateRoute:
