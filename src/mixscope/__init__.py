@@ -3,7 +3,8 @@
 Three layers:
 
 - ``dist``: exact distributions over hashable states, separation and
-  total-variation distances, statistic pushforwards, kernel evolution.
+  total-variation distances, statistic pushforwards, kernel evolution with
+  integer counts and one division at the end.
 - ``shuffles`` / ``verify``: deck chains (random-to-top, its lazy one-card
   variant, inverse riffle), deck statistics, and exact certification of
   conditional laws by a lumped dynamic program, checked against

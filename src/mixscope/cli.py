@@ -33,7 +33,6 @@ from .cycle import (
     compute_k,
     coverage_time_tail,
     distance_moved_tail,
-    exact_color_separation,
     has_alternating_partition,
     max_gap,
     midpoints,
@@ -240,7 +239,17 @@ def _run_cycle(cfg: ExperimentConfig) -> dict:
         members = [a.members for a in alternating_decomposition(coloring)]
     else:
         members = [tuple(sorted(s)) for s in sets]
-    seps = separation_profile(coloring, cfg.x0, horizon)
+    # Chebyshev times are read off the same sweep, which runs past the
+    # horizon when a t* lies beyond it; only horizon + 1 values are reported.
+    cs = []
+    if cfg.chebyshev:
+        try:
+            cs = [float(c) for c in cfg.chebyshev.split(",")]
+        except ValueError:
+            raise UsageError(f"bad --chebyshev value {cfg.chebyshev!r}")
+    t_stars = [math.ceil(chebyshev_time(k, c)) for c in cs]
+    profile = separation_profile(coloring, cfg.x0, max([horizon, *t_stars]))
+    seps = profile[:horizon + 1]
     cov = coverage_time_tail(coloring, cfg.x0, horizon, sets=sets)
     vtx = vertex_count_tail(coloring, cfg.x0, horizon)
     dst = distance_moved_tail(coloring, cfg.x0, horizon)
@@ -280,14 +289,9 @@ def _run_cycle(cfg: ExperimentConfig) -> dict:
         },
     }
     if cfg.chebyshev:
-        try:
-            cs = [float(c) for c in cfg.chebyshev.split(",")]
-        except ValueError:
-            raise UsageError(f"bad --chebyshev value {cfg.chebyshev!r}")
         block = []
-        for c in cs:
-            t_star = math.ceil(chebyshev_time(k, c))
-            sep_at = exact_color_separation(coloring, cfg.x0, t_star)
+        for c, t_star in zip(cs, t_stars):
+            sep_at = profile[t_star]
             block.append({
                 "c": c,
                 "t_star": t_star,

@@ -12,7 +12,11 @@ and the first vertex is red), index reds and blues in visit order, and give
 set i every red and blue whose index is congruent to i mod k.
 
 The lazy walk moves left or right with probability 1/4 each and stays put
-otherwise.  For coverage bookkeeping each lazy step is refined into two
+otherwise.  Its color law comes from one integer sweep: with counts c over
+4^t, c'(v) = c(v-1) + 2c(v) + c(v+1), so the red mass at every t up to the
+horizon is an integer over 4^t, read off as the sweep goes.  Separation
+from fair (1/2, 1/2) and the red-dominance margin are both built from it.
+For coverage bookkeeping each lazy step is refined into two
 half-steps on half-unit positions (even = vertex, odd = edge midpoint):
 vertex to an adjacent edge, then to a vertex.  The walk's visited range is
 an interval of half-units; midpoints of an alternating set are half-unit
@@ -36,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .dist import Distribution, Kernel, Statistic, evolve, push_forward, separation_distance
+from .budget import require_within_budget
+from .dist import Distribution, Kernel, Statistic
 
 RED = "R"
 BLUE = "B"
@@ -189,22 +194,41 @@ def exact_color_separation(coloring: tuple, x0: int, t: int) -> Fraction:
     return separation_profile(coloring, x0, t)[t]
 
 
-def separation_profile(coloring: tuple, x0: int, horizon: int):
-    """Exact color separation at every t in 0..horizon, one kernel sweep."""
-    validate_coloring(coloring)
+def _red_counts(coloring: tuple, x0: int, horizon: int) -> list:
+    """Red mass of the lazy walk from x0 at t = 0..horizon, as integers over 4^t.
+
+    One sweep of integer counts, c'(v) = c(v-1) + 2c(v) + c(v+1), charged
+    to the budget as vertices x 3 moves x steps.
+    """
     size = len(coloring)
     if not 0 <= x0 < size:
         raise ValueError(f"x0 must be a vertex in 0..{size - 1}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    kernel = lazy_cycle_kernel(size)
-    color = color_statistic(coloring)
-    target = fair_coloring_target()
-    current = Distribution.point_mass(x0, kernel.states)
-    out = [separation_distance(push_forward(current, color), target)]
+    if size < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    require_within_budget(size * 3 * horizon, f"lazy walk on {size} vertices to t={horizon}",
+                          "use a shorter horizon")
+    reds = [v for v in range(size) if coloring[v] == RED]
+    counts = [0] * size
+    counts[x0] = 1
+    out = [counts[x0] if coloring[x0] == RED else 0]
     for _ in range(horizon):
-        current = evolve(kernel, current, 1)
-        out.append(separation_distance(push_forward(current, color), target))
+        counts = [counts[v - 1] + 2 * counts[v] + counts[(v + 1) % size] for v in range(size)]
+        out.append(sum(counts[v] for v in reds))
+    return out
+
+
+def separation_profile(coloring: tuple, x0: int, horizon: int):
+    """Exact color separation at every t in 0..horizon, from one integer sweep.
+
+    The target is fair, so separation is 1 - 2 min(red, blue) / 4^t.
+    """
+    validate_coloring(coloring)
+    out = []
+    for t, red in enumerate(_red_counts(coloring, x0, horizon)):
+        total = 4 ** t
+        out.append(Fraction(total - 2 * min(red, total - red), total))
     return out
 
 
@@ -412,7 +436,8 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
     is red.  Ties between differently colored members leave the nearest
     color undefined; such sets are reported and no claim is made.  When the
     precondition holds the dominance margin Pr(red at t) - 1/2 is computed
-    exactly for every t <= horizon and its minimum reported.
+    exactly for every t <= horizon, from the same integer sweep as
+    separation_profile, and its minimum reported.
     """
     members_list = _decomposition_members(coloring, sets)
     size = len(coloring)
@@ -434,22 +459,13 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
             coloring, x0, horizon, tuple(tuple(m) for m in members_list),
             tuple(nearest_reports), False, tuple(failing), None, None, None,
         )
-    kernel = lazy_cycle_kernel(size)
-    current = Distribution.point_mass(x0, kernel.states)
     min_margin = None
     argmin_t = None
-    holds = True
-    for t in range(horizon + 1):
-        if t:
-            current = evolve(kernel, current, 1)
-        red_mass = sum(
-            w for v, w in zip(current.support, current.weights) if coloring[v] == RED
-        )
-        margin = red_mass - Fraction(1, 2)
+    for t, red in enumerate(_red_counts(coloring, x0, horizon)):
+        margin = Fraction(2 * red - 4 ** t, 2 * 4 ** t)
         if min_margin is None or margin < min_margin:
             min_margin, argmin_t = margin, t
-        if margin < 0:
-            holds = False
+    holds = min_margin >= 0
     return DominanceReport(
         coloring, x0, horizon, tuple(tuple(m) for m in members_list),
         tuple(nearest_reports), True, (), holds, min_margin, argmin_t,

@@ -2,26 +2,33 @@
 
 A Distribution is an ordered finite support together with one weight per
 state.  Weights are Fractions in exact mode (the default everywhere) or
-floats in approximate mode; every operation propagates the mode so a report
-can state which arithmetic produced it.  Zero-weight states are retained
-when they come from a declared universe: separation distance detects
-missing mass only if the missing states are present in the support.
+floats in approximate mode.  Float mode is render-only: reports are
+computed exactly and converted to floats when rendered, and evolve refuses
+a float-mode start.  Zero-weight states are retained when they come from a
+declared universe: separation distance detects missing mass only if the
+missing states are present in the support.
 
 Separation distance is sep(mu, pi) = max over states a of 1 - mu(a)/pi(a),
 the one-sided distance that strong-stationarity arguments bound.  It
 dominates total variation, is 0 exactly when mu = pi, and is 1 exactly when
 some pi-positive state carries no mu-mass.
 
-A Kernel is a finite state space with one exact transition row per state.
-evolve pushes a distribution through t steps of a kernel; push_forward maps
-a distribution through a statistic.  Both are pure and deterministic, so
+A Kernel is a finite state space with one exact transition row per state,
+and the common denominator D of all its probabilities.  evolve pushes an
+exact distribution through t steps of a kernel with integer counts: the
+start is scaled to integers over the lcm d0 of its denominators, each step
+multiplies by integer multiplicities over D, and the one division, by
+d0 * D^t, happens when the result is built.  push_forward maps a
+distribution through a statistic.  Both are pure and deterministic, so
 results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 EXACT = "exact"
@@ -127,20 +134,27 @@ class Statistic:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Finite transition kernel: per state, exact (target, probability) rows."""
+    """Finite transition kernel: per state, exact (target, probability) rows.
+
+    denominator is the lcm D of every probability's denominator, so each
+    probability is an integer multiplicity over D.
+    """
 
     states: tuple
     rows: Mapping
+    denominator: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         rows = {s: tuple((t, Fraction(p)) for t, p in self.rows[s]) for s in self.states}
         object.__setattr__(self, "rows", rows)
+        denom = lcm(*{p.denominator for row in rows.values() for _, p in row})
+        object.__setattr__(self, "denominator", denom)
         state_set = set(self.states)
         for s, row in rows.items():
-            total = sum(p for _, p in row)
-            if total != 1:
-                raise ValueError(f"row of {s!r} sums to {total}, not 1")
+            scaled = sum(p.numerator * (denom // p.denominator) for _, p in row)
+            if scaled != denom:
+                raise ValueError(f"row of {s!r} sums to {Fraction(scaled, denom)}, not 1")
             if any(p < 0 for _, p in row):
                 raise ValueError(f"row of {s!r} has a negative probability")
             if any(t not in state_set for t, _ in row):
@@ -204,29 +218,44 @@ def push_forward(mu: Distribution, f) -> Distribution:
 
 
 def evolve(kernel: Kernel, mu: Distribution, t: int) -> Distribution:
-    """Law after t kernel steps from mu, over the kernel's full state space."""
+    """Exact law after t kernel steps from mu, over the kernel's full state space.
+
+    Counts stay integers throughout: mu scaled by the lcm d0 of its weight
+    denominators, then one integer multiplicity per kernel entry over the
+    kernel's denominator D.  Each state's row is converted to multiplicities
+    the first time the walk reaches it, and the only division, by d0 * D^t,
+    builds the returned weights.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if mu.mode != EXACT:
+        raise ValueError("evolve needs an exact distribution; float mode is render-only")
     state_set = set(kernel.states)
     for s, w in zip(mu.support, mu.weights):
         if w > 0 and s not in state_set:
             raise ValueError(f"mu puts mass on {s!r}, outside the kernel's space")
-    exact = mu.mode == EXACT
-    current = {s: w for s, w in zip(mu.support, mu.weights) if w > 0}
+    start = [(s, w) for s, w in zip(mu.support, mu.weights) if w > 0]
+    d0 = lcm(*(w.denominator for _, w in start))
+    counts = {s: w.numerator * (d0 // w.denominator) for s, w in start}
+    denom = kernel.denominator
+    multiplicities: dict = {}
     for _ in range(t):
         nxt: dict = {}
-        for s, w in current.items():
-            for target, p in kernel.rows[s]:
-                if p == 0:
-                    continue
-                q = w * (p if exact else float(p))
-                nxt[target] = nxt.get(target, Fraction(0) if exact else 0.0) + q
-        current = nxt
-    zero = Fraction(0) if exact else 0.0
+        for s, count in counts.items():
+            row = multiplicities.get(s)
+            if row is None:
+                row = multiplicities[s] = tuple(
+                    (target, p.numerator * (denom // p.denominator))
+                    for target, p in kernel.rows[s] if p
+                )
+            for target, m in row:
+                nxt[target] = nxt.get(target, 0) + count * m
+        counts = nxt
+    total = d0 * denom ** t
+    zero = Fraction(0)
     return Distribution(
         kernel.states,
-        tuple(current.get(s, zero) for s in kernel.states),
-        EXACT if exact else FLOAT,
+        tuple(Fraction(counts[s], total) if s in counts else zero for s in kernel.states),
     )
 
 
@@ -242,14 +271,49 @@ def sst_bound(p: Weight) -> Weight:
 
 # JSON serialization.  Exact weights render as "num/den" with an explicit
 # denominator so the format is uniform; states map tuples to arrays.
+# Python refuses str() and int() on integers longer than a few thousand
+# digits (sys.get_int_max_str_digits), so long integers are converted in
+# pieces well below that limit, splitting at a power of ten.
+
+_PIECE_DIGITS = 2000
+_PIECE_BITS = 6600  # 2^6600 has 1,987 digits, under _PIECE_DIGITS
+
+
+def _int_to_str(n: int) -> str:
+    """Decimal digits of n, of any length; str(n) when n is short."""
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
+    # 10^half <= 2^(bits-1) <= n, so the high part is nonzero
+    half = (n.bit_length() - 1) * 30102 // 100000 // 2
+    high, low = divmod(n, 10 ** half)
+    return _int_to_str(high) + _int_to_str(low).zfill(half)
+
+
+def _str_to_int(digits: str) -> int:
+    """int(digits) for an unsigned decimal string of any length."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _str_to_int(digits[:-half]) * 10 ** half + _str_to_int(digits[-half:])
+
+
+_RATIONAL = re.compile(r"\s*(-?)(\d+)(?:/(\d+))?\s*")
+
 
 def format_rational(x: Fraction) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_int_to_str(f.numerator)}/{_int_to_str(f.denominator)}"
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        return Fraction(s)  # other forms Fraction accepts, such as "0.25"
+    sign, num, den = match.groups()
+    value = Fraction(_str_to_int(num), _str_to_int(den) if den else 1)
+    return -value if sign else value
 
 
 def state_to_json(state):

@@ -33,12 +33,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import comb, factorial, sqrt
 
 from .budget import require_within_budget
 from .dist import Distribution, Kernel, evolve, push_forward, _canon_key
 from .shuffles import (
     StatisticKind,
+    _require_dense,
     TOP_TO_BOTTOM,
     apply_move,
     deck_statistic,
@@ -453,15 +454,15 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: StatisticKind) -> Di
     """Law of the statistic at time t via kernel evolution (no paths).
 
     The independent route against which path enumeration is cross-checked.
+    Charged to the budget as n! states x one step's branches x max(t, 1)
+    steps before the kernel is built.
     """
-    if chain == "rtt":
-        kernel = random_to_top_kernel(n)
-    elif chain == "walk1":
-        kernel = walk1_kernel(n)
-    elif chain == "riffle":
-        kernel = riffle_kernel(n)
-    else:
-        raise ValueError(f"unknown chain {chain!r}; expected one of {CHAINS}")
+    _require_dense(n)
+    # path_count(chain, n, 1) is one step's branch count, and rejects an unknown chain
+    require_within_budget(factorial(n) * path_count(chain, n, 1) * max(t, 1),
+                          f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
+    builders = {"rtt": random_to_top_kernel, "walk1": walk1_kernel, "riffle": riffle_kernel}
+    kernel = builders[chain](n)
     start = Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states)
     return push_forward(evolve(kernel, start, t), deck_statistic(n, statistic))
 
@@ -497,18 +498,11 @@ def prob_strings_distinct(n: int, t: int) -> Fraction:
 
 
 def count_nonnegative_paths(t: int) -> int:
-    """Number of t-step +-1 walks from 0 whose partial sums never go below 0."""
+    """Number of t-step +-1 walks from 0 whose partial sums never go below 0:
+    the central binomial coefficient C(t, floor(t/2))."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    dp = {0: 1}
-    for _ in range(t):
-        nxt: dict = {}
-        for h, c in dp.items():
-            nxt[h + 1] = nxt.get(h + 1, 0) + c
-            if h:
-                nxt[h - 1] = nxt.get(h - 1, 0) + c
-        dp = nxt
-    return sum(dp.values())
+    return comb(t, t // 2)
 
 
 def walk1_position_kernel(n: int) -> Kernel:
@@ -539,9 +533,13 @@ def walk1_position_distribution(n: int, t: int, p0: int) -> Distribution:
     """Exact law of a tracked card's position after t walk1 steps.
 
     Reaches deck sizes far beyond full-deck enumeration (n = 52 is routine).
+    Charged to the budget as n positions x walk1's n + 1 branches x max(t, 1)
+    steps.
     """
     if not 1 <= p0 <= n:
         raise ValueError(f"p0 must lie in 1..{n}")
+    require_within_budget(n * path_count("walk1", n, 1) * max(t, 1),
+                          f"tracked-card walk n={n} t={t}", "use a shorter t")
     kernel = walk1_position_kernel(n)
     return evolve(kernel, Distribution.point_mass(p0, kernel.states), t)
 

@@ -11,6 +11,7 @@ import pytest
 
 from mixscope import verify
 from mixscope.cli import main
+from mixscope.dist import parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +236,13 @@ class TestCounterexample:
         res = doc["results"]
         assert frac(res["pr_position_1"]) == F(1, 6)
 
+    def test_weights_longer_than_the_int_str_limit(self, capsys):
+        # denominators 6^6000 have 4,669 digits, past Python's 4,300
+        doc = run_json(capsys, "counterexample", "--n", "3", "--t", "6000")
+        pr_top = parse_rational(doc["results"]["pr_position_1"])
+        assert pr_top == verify.walk1_position_distribution(3, 6000, 3).weight(1)
+        assert len(doc["results"]["pr_position_1"].partition("/")[2]) > 4300
+
 
 class TestExitCodes:
     def test_monte_carlo_requires_seed(self, capsys):
@@ -256,6 +264,33 @@ class TestExitCodes:
                                "--predicate", "k_distinct:2")
         assert code == 3
         assert json.loads(err.splitlines()[0])["error"]["code"] == "capacity"
+
+    def test_dense_kernel_evolution_is_budgeted(self, capsys, monkeypatch):
+        monkeypatch.setenv("MIXSCOPE_BUDGET", "10")
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "4",
+                                 "--t", "2", "--statistic", "top_card")
+        assert code == 3
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "capacity"
+        assert "Monte-Carlo" in error["message"]
+
+    def test_long_horizons_are_budgeted(self, capsys, monkeypatch):
+        monkeypatch.setenv("MIXSCOPE_BUDGET", "1000")
+        # 6 vertices x 3 moves x 69 steps: the sweep runs on to t* for c=2
+        code, _, err = run_cli(capsys, "cycle", "--coloring", "RRBRBB", "--x0", "0",
+                               "--horizon", "4", "--chebyshev", "2")
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["error"]["code"] == "capacity"
+        code, _, _ = run_cli(capsys, "cycle", "--coloring", "RRBRBB", "--x0", "0",
+                             "--horizon", "4", "--chebyshev", "1")
+        assert code == 0
+        # 3 positions x 4 branches x 100 steps
+        code, _, err = run_cli(capsys, "counterexample", "--n", "3", "--t", "100")
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["error"]["code"] == "capacity"
+        code, _, _ = run_cli(capsys, "counterexample", "--n", "3", "--t", "80")
+        assert code == 0
 
     def test_broken_invariant_is_internal(self, capsys, monkeypatch):
         """Lumped counts that miss the total mass exit 4, not usage."""

@@ -203,6 +203,11 @@ class TestEvolve:
         pi = Distribution.uniform(range(4))
         assert evolve(lazy_cycle_4(), pi, 7).as_mapping() == pi.as_mapping()
 
+    def test_float_mode_start_rejected(self):
+        mu = Distribution.point_mass(0, universe=range(4)).to_float()
+        with pytest.raises(ValueError, match="float mode is render-only"):
+            evolve(lazy_cycle_4(), mu, 1)
+
 
 class TestKernelValidation:
     def test_row_must_sum_to_one(self):
@@ -212,6 +217,15 @@ class TestKernelValidation:
     def test_target_must_be_in_space(self):
         with pytest.raises(ValueError):
             Kernel((0, 1), {0: [(7, F(1, 1))], 1: [(1, F(1, 1))]})
+
+    def test_denominator_is_lcm_of_row_denominators(self):
+        assert lazy_cycle_4().denominator == 4
+        k = Kernel((0, 1), {0: [(0, F(1, 6)), (1, F(5, 6))], 1: [(0, F(3, 4)), (1, F(1, 4))]})
+        assert k.denominator == 12
+
+    def test_row_sum_message_is_exact(self):
+        with pytest.raises(ValueError, match="sums to 5/6, not 1"):
+            Kernel((0, 1), {0: [(0, F(1, 2)), (1, F(1, 3))], 1: [(1, F(1))]})
 
 
 class TestBoundsAndFormats:
@@ -228,6 +242,20 @@ class TestBoundsAndFormats:
     def test_parse_rational_round_trip(self):
         for text in ("1/1", "0/1", "772/53248"):
             assert format_rational(parse_rational(text)) == format_rational(F(text))
+
+    def test_rationals_beyond_the_int_str_limit_round_trip(self):
+        # Python's int/str conversion refuses more than 4,300 digits
+        num = 3 * 10 ** 6000 + 7 ** 500  # 6,001 digits
+        for x in (F(num, 3 ** 12600), F(-num, 10 ** 6000), F(10 ** 6000)):
+            text = format_rational(x)
+            assert parse_rational(text) == x
+        assert format_rational(F(10 ** 6000)) == "1" + "0" * 6000 + "/1"
+        assert len(format_rational(F(num, 2)).partition("/")[0]) == 6001
+
+    def test_short_rationals_render_as_str(self):
+        for x in (F(-3, 8), F(2 ** 6000 + 1, 3 ** 4000), F(10 ** 1999, 7)):
+            assert format_rational(x) == f"{x.numerator}/{x.denominator}"
+            assert parse_rational(format_rational(x)) == x
 
     def test_state_json_nested_tuples(self):
         state = (1, ("a", (2, 3)), "none")
