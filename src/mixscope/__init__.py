@@ -6,9 +6,10 @@ Three layers:
   total-variation distances, statistic pushforwards, kernel evolution with
   integer counts and one division at the end.
 - ``shuffles`` / ``verify``: deck chains (random-to-top, its lazy one-card
-  variant, inverse riffle), deck statistics, and exact certification of
-  conditional laws by a lumped dynamic program, checked against
-  exhaustive path enumeration.
+  variant, inverse riffle), deck statistics, their exact laws at time t
+  by a forward count over reachable decks (checked against the dense
+  kernels), and exact certification of conditional laws by a lumped
+  dynamic program, checked against exhaustive path enumeration.
 - ``cycle``: alternating decompositions of balanced colorings on an even
   cycle, coverage and distance stopping-time tails, and quantitative
   mixing guarantees for the lazy walk.

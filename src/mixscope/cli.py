@@ -43,6 +43,7 @@ from .cycle import (
 from .dist import (
     Distribution,
     EXACT,
+    _int_to_str,
     distribution_to_json,
     format_rational,
     separation_distance,
@@ -116,6 +117,14 @@ class Report:
         return {"config": self.config, "version": self.version, "results": self.results}
 
 
+def _too_long_for_str(value: int) -> bool:
+    """True when str(value) would exceed Python's integer string-conversion
+    limit (sys.get_int_max_str_digits; 0 means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # anything below 2^(3 * limit), itself below 10^limit, is short enough
+    return bool(limit) and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit
+
+
 def _jsonable(value, use_float: bool):
     if isinstance(value, Distribution):
         d = distribution_to_json(value.to_float() if use_float else value)
@@ -126,6 +135,10 @@ def _jsonable(value, use_float: bool):
         return {k: _jsonable(v, use_float) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v, use_float) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool) and _too_long_for_str(value):
+        # json and csv would call int.__repr__, which refuses it; like the
+        # rationals it becomes an exact decimal string
+        return _int_to_str(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return state_to_json(value)

@@ -11,9 +11,12 @@ Three chains are provided:
                   and stably sorts, zeros above ones; t steps assign t-bit
                   strings per card.
 
-All three fix the uniform distribution on the symmetric group.  Kernels are
-built explicitly for 2 <= n <= 8 with states encoded by Lehmer rank, which
-keeps exact evolution over S_n cheap (8! = 40320 states).
+All three fix the uniform distribution on the symmetric group.  Explicit
+kernels over Lehmer ranks are built for 2 <= n <= 8 (8! = 40320 states).
+No report uses them: the exact law at time t is a forward count over the
+decks reachable from the identity (verify.statistic_law_at), and the
+stationary law of a statistic an integer count over S_n.  The kernels stay
+as the independent oracle those counts are tested against.
 
 Multi-step riffle strings record the earliest step's bit first.  One-shot
 application must agree with composing single-bit steps, and a stable sort
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, Statistic, push_forward
+from .dist import Distribution, Kernel, Statistic, _canon_key
 
 MAX_DENSE_N = 8
 
@@ -340,9 +343,14 @@ def deck_statistic(n: int, kind: StatisticKind) -> Statistic:
 
 
 def stationary_statistic_distribution(n: int, kind: StatisticKind) -> Distribution:
-    """Exact law of the statistic under the uniform deck, by full enumeration."""
+    """Exact law of the statistic under the uniform deck: an integer count of
+    the decks giving each value, over all of S_n, divided once by n!."""
     if n > MAX_DENSE_N:
         raise ValueError(f"stationary enumeration covers n <= {MAX_DENSE_N}")
     validate_statistic_kind(kind, n)
-    uniform = Distribution.uniform(deck_space(n))
-    return push_forward(uniform, deck_statistic(n, kind))
+    tally: dict = {}
+    for deck in itertools.permutations(range(1, n + 1)):
+        v = evaluate_statistic(kind, deck)
+        tally[v] = tally.get(v, 0) + 1
+    values = sorted(tally, key=_canon_key)
+    return Distribution(tuple(values), tuple(Fraction(tally[v], _FACT[n]) for v in values))

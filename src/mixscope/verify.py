@@ -16,6 +16,11 @@ of which adjacent deck positions hold different sort keys.  Certification
 means exact equality of the conditional and stationary laws, value by
 value.  The budget still counts the paths the lumped states stand for.
 
+The law of a statistic at time t, with no conditioning, is the same kind
+of forward count over decks alone, started from the identity deck, so it
+visits only the decks the walk reaches; the dense kernels in shuffles are
+its oracle.
+
 Path enumeration stays as the independent oracle: every path with its
 rational weight, predicates evaluated on full path prefixes (moves and
 intermediate decks).  Bookkeeping errors in pencil-and-paper path
@@ -36,23 +41,18 @@ from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, evolve, push_forward, _canon_key
+from .dist import Distribution, Kernel, evolve, _canon_key
 from .shuffles import (
     StatisticKind,
     _require_dense,
     TOP_TO_BOTTOM,
     apply_move,
-    deck_statistic,
     evaluate_statistic,
     identity_deck,
     inverse_riffle_apply,
-    random_to_top_kernel,
-    rank_deck,
-    riffle_kernel,
     stationary_statistic_distribution,
     to_top,
     validate_statistic_kind,
-    walk1_kernel,
 )
 
 CHAINS = ("rtt", "walk1", "riffle")
@@ -451,20 +451,40 @@ def check_strong_stationarity(chain: str, n: int, t: int,
 
 
 def statistic_law_at(chain: str, n: int, t: int, statistic: StatisticKind) -> Distribution:
-    """Law of the statistic at time t via kernel evolution (no paths).
+    """Law of the statistic at time t from the identity deck (no paths).
 
-    The independent route against which path enumeration is cross-checked.
-    Charged to the budget as n! states x one step's branches x max(t, 1)
-    steps before the kernel is built.
+    A forward count over the decks the walk reaches, with integer
+    multiplicities over the chain's common denominator D and one division
+    by D^t at the end; the statistic is evaluated once per reached deck.
+    The support is the statistic's whole image over S_n, zero-padded, as in
+    the stationary law.  The dense kernels in shuffles give the same law
+    and are the oracle it is tested against.  Charged to the budget as n!
+    states x one step's branches x max(t, 1) steps before it starts.
     """
     _require_dense(n)
     # path_count(chain, n, 1) is one step's branch count, and rejects an unknown chain
     require_within_budget(factorial(n) * path_count(chain, n, 1) * max(t, 1),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
-    builders = {"rtt": random_to_top_kernel, "walk1": walk1_kernel, "riffle": riffle_kernel}
-    kernel = builders[chain](n)
-    start = Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states)
-    return push_forward(evolve(kernel, start, t), deck_statistic(n, statistic))
+    target = stationary_statistic_distribution(n, statistic)
+    branches, denom = chain_branches(chain, n)
+    counts = {identity_deck(n): 1}
+    for _ in range(t):
+        nxt: dict = {}
+        for deck, count in counts.items():
+            for move, m in branches:
+                new_deck = _step(chain, deck, move)
+                nxt[new_deck] = nxt.get(new_deck, 0) + count * m
+        counts = nxt
+    total = denom ** t
+    reached = sum(counts.values())
+    if reached != total:
+        raise InvariantError(f"deck counts sum to {reached}, not {denom}^{t}")
+    tally: dict = {}
+    for deck, count in counts.items():
+        v = evaluate_statistic(statistic, deck)
+        tally[v] = tally.get(v, 0) + count
+    return Distribution(target.support,
+                        tuple(Fraction(tally.get(v, 0), total) for v in target.support))
 
 
 # Closed-form and DP oracles

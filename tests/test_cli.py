@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from mixscope import verify
-from mixscope.cli import main
+from mixscope.cli import _jsonable, main
 from mixscope.dist import parse_rational
 
 
@@ -243,6 +244,30 @@ class TestCounterexample:
         assert pr_top == verify.walk1_position_distribution(3, 6000, 3).weight(1)
         assert len(doc["results"]["pr_position_1"].partition("/")[2]) > 4300
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_integers_longer_than_the_int_str_limit(self, capsys, fmt):
+        # C(15000, 7500) has 4,514 digits; it renders as an exact decimal string
+        code, out, err = run_cli(capsys, "counterexample", "--n", "2", "--t", "15000",
+                                 "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            value = json.loads(out)["results"]["nonnegative_path_count"]
+        else:
+            rows = {(r["section"], r["key"]): r["value"]
+                    for r in csv.DictReader(io.StringIO(out))}
+            value = rows[("results.nonnegative_path_count", "")]
+        assert isinstance(value, str) and len(value) > 4300
+        assert parse_rational(value) == math.comb(15000, 7500)
+
+    def test_integer_rendering_switches_at_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        longest = 10 ** limit - 1
+        assert _jsonable(longest, False) is longest
+        assert _jsonable(-longest, False) == -longest
+        assert _jsonable(10 ** limit, False) == "1" + "0" * limit
+        assert _jsonable(-10 ** limit, False) == "-1" + "0" * limit
+        assert _jsonable(True, False) is True
+
 
 class TestExitCodes:
     def test_monte_carlo_requires_seed(self, capsys):
@@ -309,6 +334,40 @@ class TestExitCodes:
         error = json.loads(err.splitlines()[0])["error"]
         assert error["code"] == "internal"
         assert "not 3^2" in error["message"]
+
+    # one case per chain: n! x one step's branches x max(t, 1)
+    STAT_MIX_CHARGES = [("rtt", 4, 2, 24 * 4 * 2), ("walk1", 4, 2, 24 * 5 * 2),
+                        ("riffle", 3, 2, 6 * 8 * 2), ("rtt", 3, 0, 6 * 3 * 1)]
+
+    @pytest.mark.parametrize("chain,n,t,charge", STAT_MIX_CHARGES)
+    def test_stat_mix_charge(self, capsys, monkeypatch, chain, n, t, charge):
+        argv = ("stat-mix", "--chain", chain, "--n", str(n), "--t", str(t),
+                "--statistic", "top_card")
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(charge))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(charge - 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"]["code"] == "capacity"
+
+    def test_broken_invariant_in_stat_mix_is_internal(self, capsys, monkeypatch):
+        """Deck counts that miss the total mass exit 4, not usage."""
+        real = verify.chain_branches
+
+        def lossy(chain, n):
+            branches, denom = real(chain, n)
+            return branches[1:], denom
+
+        monkeypatch.setattr(verify, "chain_branches", lossy)
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "walk1", "--n", "3",
+                                 "--t", "2", "--statistic", "top_card")
+        assert code == 4
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "internal"
+        assert "not 6^2" in error["message"]
 
     def test_invalid_budget_is_usage_error_everywhere(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXSCOPE_BUDGET", "frog")

@@ -3,7 +3,8 @@
 evolve, the cycle's one-sweep color law and the tracked-card chain all
 count with integers and divide once at the end.  Each is compared here
 with the most direct reference there is: a step loop that multiplies
-Fraction weights by the kernel's Fraction rows.
+Fraction weights by the kernel's Fraction rows.  The sparse deck count
+behind stat-mix is compared with evolve on the dense deck kernels.
 """
 
 import json
@@ -11,7 +12,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import statistic_cases
 
+import mixscope
+from mixscope import cli, shuffles, verify
 from mixscope.cli import main
 from mixscope.cycle import (
     check_red_dominance,
@@ -31,7 +35,7 @@ from mixscope.shuffles import (
     riffle_kernel,
     walk1_kernel,
 )
-from mixscope.verify import walk1_position_distribution
+from mixscope.verify import statistic_law_at, walk1_position_distribution
 
 DENSE = {"rtt": random_to_top_kernel, "walk1": walk1_kernel, "riffle": riffle_kernel}
 
@@ -128,6 +132,39 @@ class TestTrackedCardMatchesDenseDeck:
             for t, law in enumerate(laws):
                 assert walk1_position_distribution(n, t, p).as_mapping() == \
                     push_forward(law, position).as_mapping()
+
+
+class TestSparseLawMatchesDenseKernel:
+    CASES = [("rtt", n) for n in (2, 3, 4, 5)] + [("walk1", n) for n in (2, 3, 4, 5)] \
+        + [("riffle", n) for n in (2, 3, 4)]
+
+    @pytest.mark.parametrize("chain,n", CASES)
+    def test_statistic_law_at(self, chain, n):
+        kernel = DENSE[chain](n)
+        start = Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states)
+        laws = [evolve(kernel, start, t) for t in range(5)]
+        for stat in statistic_cases(n):
+            image = deck_statistic(n, stat)
+            for t, law in enumerate(laws):
+                expected = push_forward(law, image)
+                sparse = statistic_law_at(chain, n, t, stat)
+                assert sparse.support == expected.support, (stat.label(), t)
+                assert sparse.weights == expected.weights, (stat.label(), t)
+
+    def test_stat_mix_builds_no_dense_kernel(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a dense kernel was built")
+
+        for module in (mixscope, shuffles, verify, cli):
+            for name in ("random_to_top_kernel", "walk1_kernel", "riffle_kernel"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for chain in DENSE:
+            code = main(["stat-mix", "--chain", chain, "--n", "4", "--t", "2",
+                         "--statistic", "top_k_order:2"])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert json.loads(captured.out)["results"]["law"]["support"]
 
 
 def cycle_results(capsys, horizon):

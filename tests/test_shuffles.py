@@ -4,12 +4,14 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
+from conftest import statistic_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, evolve, push_forward
 from mixscope.shuffles import (
+    STATISTIC_KINDS,
     Move,
     TOP_TO_BOTTOM,
     apply_move,
@@ -227,3 +229,14 @@ class TestStationaryLaws:
         uniform = Distribution.uniform(deck_space(4))
         direct = push_forward(uniform, deck_statistic(4, kind))
         assert stationary_statistic_distribution(4, kind).as_mapping() == direct.as_mapping()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_integer_count_matches_uniform_pushforward(self, n):
+        uniform = Distribution.uniform(deck_space(n))
+        cases = statistic_cases(n)
+        assert {s.kind for s in cases} == set(STATISTIC_KINDS)
+        for kind in cases:
+            direct = push_forward(uniform, deck_statistic(n, kind))
+            law = stationary_statistic_distribution(n, kind)
+            assert law.support == direct.support, kind.label()
+            assert law.weights == direct.weights, kind.label()
