@@ -2,11 +2,13 @@
 
 Three layers:
 
-- ``dist``: exact distributions over hashable states, separation and
-  total-variation distances, statistic pushforwards, kernel evolution with
+- ``dist``: exact distributions over hashable states (Fraction weights
+  only; the CLI's --float is a rendering), separation and total-variation
+  distances, pushforwards through plain callables, kernel evolution with
   integer counts and one division at the end.
 - ``shuffles`` / ``verify``: deck chains (random-to-top, its lazy one-card
-  variant, inverse riffle), deck statistics, their exact laws at time t
+  variant, inverse riffle), deck statistics and path predicates named in
+  one ``kind:params`` grammar (``Kind``), their exact laws at time t
   by a forward count over reachable decks (checked against the dense
   kernels), and exact certification of conditional laws by a lumped
   dynamic program, checked against exhaustive path enumeration.
@@ -21,17 +23,15 @@ from .budget import CapacityError, enumeration_budget
 from .dist import (
     Distribution,
     Kernel,
-    Statistic,
     distribution_from_json,
     distribution_to_json,
     evolve,
     push_forward,
     separation_distance,
-    sst_bound,
     total_variation,
 )
 from .shuffles import (
-    StatisticKind,
+    Kind,
     apply_move,
     deck_statistic,
     enumerate_riffle,
@@ -47,7 +47,6 @@ from .verify import (
     InvariantError,
     MonteCarloReport,
     Path,
-    PredicateKind,
     SSTReport,
     check_strong_stationarity,
     conditional_statistic_distribution,
@@ -85,15 +84,13 @@ __all__ = [
     "enumeration_budget",
     "Distribution",
     "Kernel",
-    "Statistic",
     "distribution_from_json",
     "distribution_to_json",
     "evolve",
     "push_forward",
     "separation_distance",
-    "sst_bound",
     "total_variation",
-    "StatisticKind",
+    "Kind",
     "apply_move",
     "deck_statistic",
     "enumerate_riffle",
@@ -107,7 +104,6 @@ __all__ = [
     "InvariantError",
     "MonteCarloReport",
     "Path",
-    "PredicateKind",
     "SSTReport",
     "check_strong_stationarity",
     "conditional_statistic_distribution",

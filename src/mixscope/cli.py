@@ -42,7 +42,6 @@ from .cycle import (
 )
 from .dist import (
     Distribution,
-    EXACT,
     _int_to_str,
     distribution_to_json,
     format_rational,
@@ -127,8 +126,11 @@ def _too_long_for_str(value: int) -> bool:
 
 def _jsonable(value, use_float: bool):
     if isinstance(value, Distribution):
-        d = distribution_to_json(value.to_float() if use_float else value)
-        return d
+        if not use_float:
+            return distribution_to_json(value)
+        # --float changes only the rendering; the law itself stays exact
+        return {"support": [state_to_json(s) for s in value.support],
+                "weights": [float(w) for w in value.weights], "mode": "float"}
     if isinstance(value, Fraction):
         return float(value) if use_float else format_rational(value)
     if isinstance(value, dict):
@@ -185,7 +187,7 @@ def _run_stat_mix(cfg: ExperimentConfig) -> dict:
     statistic = parse_statistic(cfg.statistic, cfg.n)
     stationary = stationary_statistic_distribution(cfg.n, statistic)
     if cfg.mode == "exact":
-        law = statistic_law_at(cfg.chain, cfg.n, cfg.t, statistic)
+        law = statistic_law_at(cfg.chain, cfg.n, cfg.t, statistic, stationary)
         return {
             "law": law,
             "stationary": stationary,

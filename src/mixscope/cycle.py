@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import sqrt
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, Statistic
+from .dist import Distribution, Kernel
 
 RED = "R"
 BLUE = "B"
@@ -181,8 +181,8 @@ def lazy_cycle_kernel(size: int) -> Kernel:
     return Kernel(tuple(range(size)), rows)
 
 
-def color_statistic(coloring: tuple) -> Statistic:
-    return Statistic("color", lambda v: coloring[v])
+def color_statistic(coloring: tuple):
+    return lambda v: coloring[v]
 
 
 def fair_coloring_target() -> Distribution:

@@ -1,12 +1,10 @@
 """Exact finite probability distributions, kernels, and separation distance.
 
-A Distribution is an ordered finite support together with one weight per
-state.  Weights are Fractions in exact mode (the default everywhere) or
-floats in approximate mode.  Float mode is render-only: reports are
-computed exactly and converted to floats when rendered, and evolve refuses
-a float-mode start.  Zero-weight states are retained when they come from a
-declared universe: separation distance detects missing mass only if the
-missing states are present in the support.
+A Distribution is an ordered finite support together with one exact
+Fraction weight per state; there is no approximate mode (the CLI's --float
+converts weights only when it renders a report).  Zero-weight states are
+retained when they come from a declared universe: separation distance
+detects missing mass only if the missing states are present in the support.
 
 Separation distance is sep(mu, pi) = max over states a of 1 - mu(a)/pi(a),
 the one-sided distance that strong-stationarity arguments bound.  It
@@ -29,14 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
-
-EXACT = "exact"
-FLOAT = "float"
-
-FLOAT_MASS_TOL = 1e-12
-
-Weight = Union[Fraction, float]
+from typing import Iterable, Mapping, Sequence
 
 
 def _canon_key(value):
@@ -54,82 +45,56 @@ def _canon_key(value):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Finite distribution: ordered support, one weight per state, a mode tag."""
+    """Finite distribution: ordered support, one exact weight per state."""
 
     support: tuple
     weights: tuple
-    mode: str = EXACT
 
     def __post_init__(self):
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.support) != len(self.weights):
             raise ValueError("support and weights must have equal length")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support identifiers must be distinct")
-        if self.mode == EXACT:
-            ws = tuple(Fraction(w) for w in self.weights)
-            object.__setattr__(self, "weights", ws)
-            if any(w < 0 for w in ws):
-                raise ValueError("negative weight")
-            if sum(ws) != 1:
-                raise ValueError(f"weights sum to {sum(ws)}, not 1")
-        else:
-            ws = tuple(float(w) for w in self.weights)
-            object.__setattr__(self, "weights", ws)
-            if any(w < 0 for w in ws):
-                raise ValueError("negative weight")
-            if abs(sum(ws) - 1.0) > FLOAT_MASS_TOL:
-                raise ValueError(f"weights sum to {sum(ws)}, not within {FLOAT_MASS_TOL} of 1")
+        ws = tuple(Fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", ws)
+        if any(w < 0 for w in ws):
+            raise ValueError("negative weight")
+        if sum(ws) != 1:
+            raise ValueError(f"weights sum to {sum(ws)}, not 1")
 
     @classmethod
-    def exact(cls, items: Union[Mapping, Iterable]) -> "Distribution":
+    def exact(cls, items: Mapping | Iterable) -> "Distribution":
         """Build an exact distribution from a mapping or (state, weight) pairs."""
         pairs = list(items.items()) if isinstance(items, Mapping) else list(items)
-        return cls(tuple(s for s, _ in pairs), tuple(Fraction(w) for _, w in pairs), EXACT)
+        return cls(tuple(s for s, _ in pairs), tuple(Fraction(w) for _, w in pairs))
 
     @classmethod
     def point_mass(cls, state, universe: Sequence | None = None) -> "Distribution":
         """Unit mass on state; a universe adds the other states with weight 0."""
         if universe is None:
-            return cls((state,), (Fraction(1),), EXACT)
+            return cls((state,), (Fraction(1),))
         if state not in universe:
             raise ValueError("state not in declared universe")
         return cls(
             tuple(universe),
             tuple(Fraction(1) if s == state else Fraction(0) for s in universe),
-            EXACT,
         )
 
     @classmethod
     def uniform(cls, states: Sequence) -> "Distribution":
         states = tuple(states)
         w = Fraction(1, len(states))
-        return cls(states, (w,) * len(states), EXACT)
+        return cls(states, (w,) * len(states))
 
-    def weight(self, state) -> Weight:
+    def weight(self, state) -> Fraction:
         try:
             i = self.support.index(state)
         except ValueError:
-            return 0.0 if self.mode == FLOAT else Fraction(0)
+            return Fraction(0)
         return self.weights[i]
 
     def as_mapping(self) -> dict:
         return dict(zip(self.support, self.weights))
-
-    def to_float(self) -> "Distribution":
-        return Distribution(self.support, tuple(float(w) for w in self.weights), FLOAT)
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """A named total function from states to a finite value set."""
-
-    name: str
-    fn: Callable
-
-    def __call__(self, state):
-        return self.fn(state)
 
 
 @dataclass(frozen=True)
@@ -161,14 +126,13 @@ class Kernel:
                 raise ValueError(f"row of {s!r} targets a state outside the space")
 
 
-def separation_distance(mu: Distribution, pi: Distribution) -> Weight:
-    """max over a of 1 - mu(a)/pi(a); exact Fraction when both inputs are exact.
+def separation_distance(mu: Distribution, pi: Distribution) -> Fraction:
+    """max over a of 1 - mu(a)/pi(a), as an exact Fraction.
 
     Requires every mu-positive state to lie in pi's support (otherwise the
     supports are incomparable) and pi to be positive on the states it shares
     with mu.
     """
-    exact = mu.mode == EXACT and pi.mode == EXACT
     pi_map = pi.as_mapping()
     for s, w in zip(mu.support, mu.weights):
         if w > 0 and s not in pi_map:
@@ -176,13 +140,11 @@ def separation_distance(mu: Distribution, pi: Distribution) -> Weight:
         if s in pi_map and pi_map[s] == 0:
             raise ValueError(f"pi has zero weight on shared state {s!r}")
     mu_map = mu.as_mapping()
-    one = Fraction(1) if exact else 1.0
     best = None
     for s, p in pi_map.items():
         if p == 0:
             continue
-        m = mu_map.get(s, Fraction(0) if exact else 0.0)
-        gap = one - (Fraction(m) / p if exact else float(m) / float(p))
+        gap = 1 - mu_map.get(s, Fraction(0)) / p
         if best is None or gap > best:
             best = gap
     if best is None:
@@ -190,11 +152,10 @@ def separation_distance(mu: Distribution, pi: Distribution) -> Weight:
     return best
 
 
-def total_variation(mu: Distribution, pi: Distribution) -> Weight:
+def total_variation(mu: Distribution, pi: Distribution) -> Fraction:
     """Half the total absolute weight difference over the union of supports."""
-    exact = mu.mode == EXACT and pi.mode == EXACT
     mu_map, pi_map = mu.as_mapping(), pi.as_mapping()
-    zero = Fraction(0) if exact else 0.0
+    zero = Fraction(0)
     states = set(mu_map) | set(pi_map)
     total = sum(abs((mu_map.get(s, zero)) - (pi_map.get(s, zero))) for s in states)
     return total / 2
@@ -212,9 +173,9 @@ def push_forward(mu: Distribution, f) -> Distribution:
             v = f(s)
         except Exception as exc:
             raise ValueError(f"statistic undefined on state {s!r}") from exc
-        acc[v] = acc.get(v, Fraction(0) if mu.mode == EXACT else 0.0) + w
+        acc[v] = acc.get(v, Fraction(0)) + w
     values = sorted(acc, key=_canon_key)
-    return Distribution(tuple(values), tuple(acc[v] for v in values), mu.mode)
+    return Distribution(tuple(values), tuple(acc[v] for v in values))
 
 
 def evolve(kernel: Kernel, mu: Distribution, t: int) -> Distribution:
@@ -228,8 +189,6 @@ def evolve(kernel: Kernel, mu: Distribution, t: int) -> Distribution:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if mu.mode != EXACT:
-        raise ValueError("evolve needs an exact distribution; float mode is render-only")
     state_set = set(kernel.states)
     for s, w in zip(mu.support, mu.weights):
         if w > 0 and s not in state_set:
@@ -257,16 +216,6 @@ def evolve(kernel: Kernel, mu: Distribution, t: int) -> Distribution:
         kernel.states,
         tuple(Fraction(counts[s], total) if s in counts else zero for s in kernel.states),
     )
-
-
-def sst_bound(p: Weight) -> Weight:
-    """The separation bound 1 - p guaranteed once every value a satisfies
-    Pr(f(X_t) = a) >= f(pi)(a) * p."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if isinstance(p, float):
-        return 1.0 - p
-    return Fraction(1) - Fraction(p)
 
 
 # JSON serialization.  Exact weights render as "num/den" with an explicit
@@ -331,22 +280,17 @@ def state_from_json(obj):
 
 
 def distribution_to_json(d: Distribution) -> dict:
-    if d.mode == EXACT:
-        weights = [format_rational(w) for w in d.weights]
-    else:
-        weights = [float(w) for w in d.weights]
     return {
         "support": [state_to_json(s) for s in d.support],
-        "weights": weights,
-        "mode": d.mode,
+        "weights": [format_rational(w) for w in d.weights],
+        "mode": "exact",
     }
 
 
 def distribution_from_json(obj: Mapping) -> Distribution:
-    mode = obj["mode"]
+    """Read back an exact payload; a float rendering (--float) is lossy and
+    is refused."""
+    if obj["mode"] != "exact":
+        raise ValueError(f"cannot read a {obj['mode']!r} distribution back exactly")
     support = tuple(state_from_json(s) for s in obj["support"])
-    if mode == EXACT:
-        weights = tuple(parse_rational(w) for w in obj["weights"])
-    else:
-        weights = tuple(float(w) for w in obj["weights"])
-    return Distribution(support, weights, mode)
+    return Distribution(support, tuple(parse_rational(w) for w in obj["weights"]))

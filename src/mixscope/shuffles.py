@@ -12,7 +12,8 @@ Three chains are provided:
                   strings per card.
 
 All three fix the uniform distribution on the symmetric group.  Explicit
-kernels over Lehmer ranks are built for 2 <= n <= 8 (8! = 40320 states).
+kernels over Lehmer ranks are built for 2 <= n <= 8 (8! = 40320 states),
+each charged to the budget as n! rows x one step's branches.
 No report uses them: the exact law at time t is a forward count over the
 decks reachable from the identity (verify.statistic_law_at), and the
 stationary law of a statistic an integer count over S_n.  The kernels stay
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, Statistic, _canon_key
+from .dist import Distribution, Kernel, _canon_key
 
 MAX_DENSE_N = 8
 
@@ -46,14 +47,6 @@ def identity_deck(n: int) -> tuple:
     if n < 2:
         raise ValueError("deck needs at least 2 cards")
     return tuple(range(1, n + 1))
-
-
-def validate_deck(deck: tuple) -> None:
-    n = len(deck)
-    if n < 2:
-        raise ValueError("deck needs at least 2 cards")
-    if sorted(deck) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {deck!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +124,7 @@ def _require_dense(n: int) -> None:
 def random_to_top_kernel(n: int) -> Kernel:
     """Each of the n to-top moves with probability 1/n, over Lehmer ranks."""
     _require_dense(n)
+    require_within_budget(_FACT[n] * n, f"dense kernel rtt n={n}", "use a smaller n")
     p = Fraction(1, n)
     rows = {}
     for r in deck_space(n):
@@ -146,6 +140,7 @@ def random_to_top_kernel(n: int) -> Kernel:
 def walk1_kernel(n: int) -> Kernel:
     """To-top moves at 1/(2n) each plus top-to-bottom at 1/2."""
     _require_dense(n)
+    require_within_budget(_FACT[n] * (n + 1), f"dense kernel walk1 n={n}", "use a smaller n")
     p = Fraction(1, 2 * n)
     rows = {}
     for r in deck_space(n):
@@ -163,6 +158,7 @@ def walk1_kernel(n: int) -> Kernel:
 def riffle_kernel(n: int) -> Kernel:
     """One single-bit inverse riffle step: 2^n equally likely bit columns."""
     _require_dense(n)
+    require_within_budget(_FACT[n] * 2 ** n, f"dense kernel riffle n={n}", "use a smaller n")
     p = Fraction(1, 2 ** n)
     rows = {}
     for r in deck_space(n):
@@ -225,16 +221,11 @@ STATISTIC_KINDS = (
 
 
 @dataclass(frozen=True)
-class StatisticKind:
-    """A tagged statistic descriptor; params depend on the kind."""
+class Kind:
+    """A statistic or predicate: a kind name and its integer parameters."""
 
     kind: str
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in STATISTIC_KINDS:
-            raise ValueError(f"unknown statistic kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(self.params))
+    params: tuple
 
     def label(self) -> str:
         if not self.params:
@@ -242,9 +233,26 @@ class StatisticKind:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
-def validate_statistic_kind(kind: StatisticKind, n: int) -> None:
-    """Check parameter ranges against a deck size n."""
+def parse_kind(text: str, kinds: tuple, noun: str) -> Kind:
+    """Parse the CLI grammar name[:p1,p2,...], e.g. top_k_order:2 or
+    distance:1,5, for a name in kinds; noun names the grammar in errors."""
+    name, _, arg = text.partition(":")
+    if name not in kinds:
+        raise ValueError(f"unknown {noun} {name!r}")
+    params: tuple = ()
+    if arg:
+        try:
+            params = tuple(int(p) for p in arg.split(","))
+        except ValueError:
+            raise ValueError(f"bad {noun} parameters {arg!r}")
+    return Kind(name, params)
+
+
+def validate_statistic_kind(kind: Kind, n: int) -> None:
+    """Check the kind name, and parameter ranges against a deck size n."""
     k, ps = kind.kind, kind.params
+    if k not in STATISTIC_KINDS:
+        raise ValueError(f"unknown statistic kind {k!r}")
     if k in ("top_card", "parity"):
         if ps:
             raise ValueError(f"{k} takes no parameters")
@@ -270,18 +278,9 @@ def validate_statistic_kind(kind: StatisticKind, n: int) -> None:
             raise ValueError(f"modular_hands needs a modulus dividing n={n}")
 
 
-def parse_statistic(text: str, n: int) -> StatisticKind:
-    """Parse the CLI statistic grammar, e.g. top_k_order:2 or distance:1,5."""
-    name, _, arg = text.partition(":")
-    if name not in STATISTIC_KINDS:
-        raise ValueError(f"unknown statistic {name!r}")
-    params: tuple = ()
-    if arg:
-        try:
-            params = tuple(int(p) for p in arg.split(","))
-        except ValueError:
-            raise ValueError(f"bad statistic parameters {arg!r}")
-    kind = StatisticKind(name, params)
+def parse_statistic(text: str, n: int) -> Kind:
+    """Parse a CLI statistic, e.g. top_k_order:2, valid for deck size n."""
+    kind = parse_kind(text, STATISTIC_KINDS, "statistic")
     validate_statistic_kind(kind, n)
     return kind
 
@@ -296,7 +295,7 @@ def _parity(deck: tuple) -> str:
     return "even" if inv % 2 == 0 else "odd"
 
 
-def evaluate_statistic(kind: StatisticKind, deck: tuple):
+def evaluate_statistic(kind: Kind, deck: tuple):
     """Evaluate a statistic on a deck; values are hashable and canonical."""
     validate_statistic_kind(kind, len(deck))
     k, ps = kind.kind, kind.params
@@ -336,18 +335,17 @@ def evaluate_statistic(kind: StatisticKind, deck: tuple):
     raise AssertionError(k)
 
 
-def deck_statistic(n: int, kind: StatisticKind) -> Statistic:
+def deck_statistic(n: int, kind: Kind):
     """The statistic as a function of Lehmer ranks, for ranked state spaces."""
     validate_statistic_kind(kind, n)
-    return Statistic(kind.label(), lambda r: evaluate_statistic(kind, unrank_deck(n, r)))
+    return lambda r: evaluate_statistic(kind, unrank_deck(n, r))
 
 
-def stationary_statistic_distribution(n: int, kind: StatisticKind) -> Distribution:
+def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
     """Exact law of the statistic under the uniform deck: an integer count of
     the decks giving each value, over all of S_n, divided once by n!."""
     if n > MAX_DENSE_N:
         raise ValueError(f"stationary enumeration covers n <= {MAX_DENSE_N}")
-    validate_statistic_kind(kind, n)
     tally: dict = {}
     for deck in itertools.permutations(range(1, n + 1)):
         v = evaluate_statistic(kind, deck)

@@ -43,13 +43,14 @@ from math import comb, factorial, sqrt
 from .budget import require_within_budget
 from .dist import Distribution, Kernel, evolve, _canon_key
 from .shuffles import (
-    StatisticKind,
+    Kind,
     _require_dense,
     TOP_TO_BOTTOM,
     apply_move,
     evaluate_statistic,
     identity_deck,
     inverse_riffle_apply,
+    parse_kind,
     stationary_statistic_distribution,
     to_top,
     validate_statistic_kind,
@@ -77,26 +78,11 @@ class InvariantError(RuntimeError):
     """An exact computation broke one of its own invariants (a program bug)."""
 
 
-@dataclass(frozen=True)
-class PredicateKind:
-    """A tagged path-event descriptor; a total boolean function of prefixes."""
-
-    kind: str
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in PREDICATE_KINDS:
-            raise ValueError(f"unknown predicate kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(self.params))
-
-    def label(self) -> str:
-        if not self.params:
-            return self.kind
-        return f"{self.kind}:{','.join(str(p) for p in self.params)}"
-
-
-def validate_predicate_kind(pred: PredicateKind, n: int, chain: str) -> None:
+def validate_predicate_kind(pred: Kind, n: int, chain: str) -> None:
+    """Check the path-event name, its chain, and parameter ranges against n."""
     k, ps = pred.kind, pred.params
+    if k not in PREDICATE_KINDS:
+        raise ValueError(f"unknown predicate kind {k!r}")
     if k in RIFFLE_PREDICATES and chain != "riffle":
         raise ValueError(f"{k} applies to the riffle chain only")
     if k in CHOICE_PREDICATES and chain == "riffle":
@@ -129,18 +115,10 @@ def validate_predicate_kind(pred: PredicateKind, n: int, chain: str) -> None:
             raise ValueError(f"riffle_blocks_nonoverlapping needs a block size dividing {n}")
 
 
-def parse_predicate(text: str, n: int, chain: str) -> PredicateKind:
-    """Parse the CLI predicate grammar, e.g. k_distinct:2 or always."""
-    name, _, arg = text.partition(":")
-    if name not in PREDICATE_KINDS:
-        raise ValueError(f"unknown predicate {name!r}")
-    params: tuple = ()
-    if arg:
-        try:
-            params = tuple(int(p) for p in arg.split(","))
-        except ValueError:
-            raise ValueError(f"bad predicate parameters {arg!r}")
-    pred = PredicateKind(name, params)
+def parse_predicate(text: str, n: int, chain: str) -> Kind:
+    """Parse a CLI predicate, e.g. k_distinct:2 or always, valid for the chain
+    at deck size n."""
+    pred = parse_kind(text, PREDICATE_KINDS, "predicate")
     validate_predicate_kind(pred, n, chain)
     return pred
 
@@ -168,7 +146,7 @@ class Path:
         return tuple("".join(col[c - 1] for col in cols) for c in range(1, n + 1))
 
 
-def predicate_holds(pred: PredicateKind, path: Path, upto: int | None = None) -> bool:
+def predicate_holds(pred: Kind, path: Path, upto: int | None = None) -> bool:
     """Evaluate the predicate on the path prefix of the given step count."""
     if upto is None:
         upto = len(path.moves)
@@ -268,8 +246,7 @@ def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
         yield Path(chain, start, tuple(s for s, _ in combo), tuple(decks), weight)
 
 
-def conditional_statistic_distribution(paths, predicate: PredicateKind,
-                                       statistic: StatisticKind, t: int):
+def conditional_statistic_distribution(paths, predicate: Kind, statistic: Kind, t: int):
     """(q, conditional law of the statistic at time t given the predicate).
 
     paths must be exhaustive for time t; q is the exact total weight of the
@@ -302,8 +279,8 @@ class SSTReport:
     chain: str
     n: int
     t: int
-    predicate: PredicateKind
-    statistic: StatisticKind
+    predicate: Kind
+    statistic: Kind
     q: Fraction
     conditional: Distribution
     target: Distribution
@@ -339,7 +316,7 @@ def _advance_summary(chain: str, deck: tuple, summary, move, new_deck: tuple):
     return mask
 
 
-def _summary_holds(pred: PredicateKind, deck: tuple, summary) -> bool:
+def _summary_holds(pred: Kind, deck: tuple, summary) -> bool:
     """predicate_holds on any path that reaches (deck, summary)."""
     k, ps = pred.kind, pred.params
     n = len(deck)
@@ -375,8 +352,8 @@ def _summary_holds(pred: PredicateKind, deck: tuple, summary) -> bool:
 
 
 def check_strong_stationarity(chain: str, n: int, t: int,
-                              predicate: PredicateKind,
-                              statistic: StatisticKind) -> SSTReport:
+                              predicate: Kind,
+                              statistic: Kind) -> SSTReport:
     """Certify or refute: conditional law at t equals the stationary law.
 
     Certification requires exact equality for every value; then the
@@ -450,22 +427,23 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     )
 
 
-def statistic_law_at(chain: str, n: int, t: int, statistic: StatisticKind) -> Distribution:
+def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
+                     stationary: Distribution) -> Distribution:
     """Law of the statistic at time t from the identity deck (no paths).
 
     A forward count over the decks the walk reaches, with integer
     multiplicities over the chain's common denominator D and one division
     by D^t at the end; the statistic is evaluated once per reached deck.
-    The support is the statistic's whole image over S_n, zero-padded, as in
-    the stationary law.  The dense kernels in shuffles give the same law
-    and are the oracle it is tested against.  Charged to the budget as n!
-    states x one step's branches x max(t, 1) steps before it starts.
+    The support is that of the statistic's stationary law, which the caller
+    passes in: its whole image over S_n, zero-padded.  The dense kernels in
+    shuffles give the same law and are the oracle it is tested against.
+    Charged to the budget as n! states x one step's branches x max(t, 1)
+    steps before it starts.
     """
     _require_dense(n)
     # path_count(chain, n, 1) is one step's branch count, and rejects an unknown chain
     require_within_budget(factorial(n) * path_count(chain, n, 1) * max(t, 1),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
-    target = stationary_statistic_distribution(n, statistic)
     branches, denom = chain_branches(chain, n)
     counts = {identity_deck(n): 1}
     for _ in range(t):
@@ -483,8 +461,8 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: StatisticKind) -> Di
     for deck, count in counts.items():
         v = evaluate_statistic(statistic, deck)
         tally[v] = tally.get(v, 0) + count
-    return Distribution(target.support,
-                        tuple(Fraction(tally.get(v, 0), total) for v in target.support))
+    return Distribution(stationary.support,
+                        tuple(Fraction(tally.get(v, 0), total) for v in stationary.support))
 
 
 # Closed-form and DP oracles
@@ -571,8 +549,8 @@ class MonteCarloReport:
     chain: str
     n: int
     t: int
-    predicate: PredicateKind
-    statistic: StatisticKind
+    predicate: Kind
+    statistic: Kind
     samples: int
     seed: int
     satisfied: int
@@ -608,8 +586,8 @@ def _wilson(successes: int, trials: int, z: float = 1.96) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def monte_carlo_conditional(chain: str, n: int, t: int, predicate: PredicateKind,
-                            statistic: StatisticKind, samples: int,
+def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
+                            statistic: Kind, samples: int,
                             seed: int) -> MonteCarloReport:
     """Estimate q and the conditional law from seeded samples.
 

@@ -1,7 +1,7 @@
 """Collects acceptance-criterion outcomes and prints one line per criterion;
 also lists statistic cases shared by the law tests."""
 
-from mixscope.shuffles import STATISTIC_KINDS, StatisticKind, validate_statistic_kind
+from mixscope.shuffles import STATISTIC_KINDS, Kind, validate_statistic_kind
 
 RESULTS: dict = {}
 
@@ -27,7 +27,7 @@ def statistic_cases(n: int) -> list:
     cases = []
     for kind in STATISTIC_KINDS:
         for ps in dict.fromkeys(params[kind]):
-            stat = StatisticKind(kind, ps)
+            stat = Kind(kind, ps)
             try:
                 validate_statistic_kind(stat, n)
             except ValueError:

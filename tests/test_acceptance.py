@@ -41,9 +41,19 @@ from mixscope.cycle import (
 from mixscope.dist import (
     Distribution,
     evolve,
+    push_forward,
     separation_distance,
 )
-from mixscope.shuffles import parse_statistic, stationary_statistic_distribution
+from mixscope.shuffles import (
+    deck_statistic,
+    identity_deck,
+    parse_statistic,
+    random_to_top_kernel,
+    rank_deck,
+    riffle_kernel,
+    stationary_statistic_distribution,
+    walk1_kernel,
+)
 from mixscope.verify import (
     CHAINS,
     check_strong_stationarity,
@@ -94,14 +104,14 @@ def test_criterion_01_parity_exactness():
         started = time.monotonic()
         for n in (4, 6):
             stat = parse_statistic("parity", n)
-            law = statistic_law_at("rtt", n, 1, stat)
             target = stationary_statistic_distribution(n, stat)
+            law = statistic_law_at("rtt", n, 1, stat, target)
             assert separation_distance(law, target) == 0
         for n in (3, 5, 7):
             stat = parse_statistic("parity", n)
             target = stationary_statistic_distribution(n, stat)
             for t in (1, 2, 3):
-                law = statistic_law_at("rtt", n, t, stat)
+                law = statistic_law_at("rtt", n, t, stat, target)
                 assert separation_distance(law, target) == F(1, n ** t)
         elapsed = time.monotonic() - started
         assert elapsed < 10, f"parity sweep took {elapsed:.1f}s"
@@ -111,8 +121,8 @@ def test_criterion_02_top_card_one_step():
     with criterion(2, "top card exactly uniform after one step, n <= 7"):
         for n in range(2, 8):
             stat = parse_statistic("top_card", n)
-            law = statistic_law_at("rtt", n, 1, stat)
             target = stationary_statistic_distribution(n, stat)
+            law = statistic_law_at("rtt", n, 1, stat, target)
             assert separation_distance(law, target) == 0
 
 
@@ -271,25 +281,36 @@ def test_criterion_10_red_dominance():
 
 
 def as_measure(dist):
-    # the path route omits unreached values, the kernel route keeps them
-    # as zero atoms; equality is as measures
+    # the path and lumped routes omit unreached values, the deck-count and
+    # kernel routes keep them as zero atoms; equality is as measures
     return {v: w for v, w in dist.as_mapping().items() if w != 0}
 
 
+DENSE = {"rtt": random_to_top_kernel, "walk1": walk1_kernel, "riffle": riffle_kernel}
+
+
 def test_criterion_11_cross_oracle_consistency():
-    with criterion(11, "path enumeration matches kernel evolution and closed forms"):
+    with criterion(11, "paths, lumped DP, deck count and kernel evolution agree; "
+                       "closed forms hold"):
         for chain in CHAINS:
             for n in (2, 3, 4):
+                kernel = DENSE[chain](n)
+                start = Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states)
+                always = parse_predicate("always", n, chain)
                 for t in range(5):
-                    always = parse_predicate("always", n, chain)
+                    law = evolve(kernel, start, t)
                     for label in ("top_card", "parity"):
                         stat = parse_statistic(label, n)
                         q, cond = conditional_statistic_distribution(
                             enumerate_paths(chain, n, t), always, stat, t
                         )
                         assert q == 1
-                        direct = statistic_law_at(chain, n, t, stat)
-                        assert as_measure(cond) == as_measure(direct)
+                        lumped = check_strong_stationarity(chain, n, t, always, stat)
+                        assert lumped.q == 1
+                        counted = statistic_law_at(chain, n, t, stat, lumped.target)
+                        dense = push_forward(law, deck_statistic(n, stat))
+                        assert as_measure(cond) == as_measure(lumped.conditional) \
+                            == as_measure(counted) == as_measure(dense), (chain, n, t, label)
         for n in range(2, 6):
             for t in range(1, 6):
                 for k in range(1, n + 1):

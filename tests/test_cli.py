@@ -1,6 +1,7 @@
 """End-to-end command-line checks: schemas, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mixscope import verify
+from mixscope import cli, shuffles, verify
 from mixscope.cli import _jsonable, main
 from mixscope.dist import parse_rational
 
@@ -94,6 +95,45 @@ class TestReportShape:
         assert doc["results"]["k"] == 1
 
 
+# SHA-256 of the --float report bytes, pinned before float rendering moved
+# into cli._jsonable: the float view of every law and rational must not move
+FLOAT_PINS = [
+    (("stat-mix", "--chain", "rtt", "--n", "4", "--t", "2", "--statistic", "top_k_order:2"),
+     "b1d246871b3d9e93bedf1aa56b636934fb843dc5571fabbc0c58585a0505d18d",
+     "2a0ac252779cacb5761e1726d0cd4137197d5724eda1d56489d22709e3a2fb02"),
+    (("stat-mix", "--chain", "riffle", "--n", "3", "--t", "1",
+      "--statistic", "relative_order:3,1"),
+     "2be8038ef29d986264c2b29a9ecf4253d73d4c0d17c103bb3de5afce4b45d235",
+     "c3ce11f1e4a84c17f2d6c66a66ac2b20bfe845f503ba69e2737bfaa56b8fa28b"),
+    (("stat-mix", "--chain", "walk1", "--n", "3", "--t", "2", "--statistic", "top_card",
+      "--samples", "200", "--seed", "3"),
+     "f5159e1a84e03dc1acd11b7ae71b96d2cc068c1b865fee2b9b069110a9282507",
+     "4005821dc9ca0345203b19fcd926cb02a5addc262037f14d649d1580693adec8"),
+    (("sst-check", "--chain", "rtt", "--n", "4", "--t", "3", "--statistic", "top_k_order:2",
+      "--predicate", "k_distinct:2"),
+     "52cbc5f59d97dbb7026cf4a8ba47815d08d7c18dd880698c43aeb78a3001eeba",
+     "21c53a97e85e73d0fa3bb9d7f2ce344083de1dbbd8f8184813407d106db4d245"),
+    (("sst-check", "--chain", "walk1", "--n", "3", "--t", "2", "--statistic", "top_card",
+      "--predicate", "any_to_top"),
+     "5cbb2f3b89874bf1483422925e9ae8ac6a795424e204593f254086a8d814d0e3",
+     "a57ea8d562c70de9510c0e949aab437299e18edab830fa39414bf57081efb020"),
+    (("counterexample", "--n", "6", "--t", "4"),
+     "e35ad2fec4e69d1a8d10d85a25f767a8fb132fec8611d28a190ab32576d86de6",
+     "f9875843672254621224f89b4f1e6f8278bcc898fa7373dfcebc2691ee3cee78"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,json_sha,csv_sha", FLOAT_PINS,
+                         ids=["stat-mix-rtt", "stat-mix-riffle", "stat-mix-sampled",
+                              "sst-check-certified", "sst-check-refuted", "counterexample"])
+def test_float_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt, "--float")
+    assert code == 0, err
+    expected = json_sha if fmt == "json" else csv_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestStatMix:
     def test_top_card_uniform_after_one_step(self, capsys):
         doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "3",
@@ -102,6 +142,22 @@ class TestStatMix:
         assert res["separation"] == "0/1"
         assert res["total_variation"] == "0/1"
         assert res["law"] == res["stationary"]
+
+    def test_stationary_law_computed_once(self, capsys, monkeypatch):
+        real = shuffles.stationary_statistic_distribution
+        calls = []
+
+        def counted(n, kind):
+            calls.append((n, kind.label()))
+            return real(n, kind)
+
+        for module in (shuffles, verify, cli):
+            monkeypatch.setattr(module, "stationary_statistic_distribution", counted)
+        for chain in ("rtt", "walk1", "riffle"):
+            calls.clear()
+            run_json(capsys, "stat-mix", "--chain", chain, "--n", "4", "--t", "2",
+                     "--statistic", "top_k_order:2")
+            assert calls == [(4, "top_k_order:2")]
 
     def test_monte_carlo_payload(self, capsys):
         doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "3",

@@ -27,12 +27,13 @@ from mixscope.cycle import (
 )
 from mixscope.dist import Distribution, evolve, push_forward, separation_distance
 from mixscope.shuffles import (
-    StatisticKind,
+    Kind,
     deck_statistic,
     identity_deck,
     random_to_top_kernel,
     rank_deck,
     riffle_kernel,
+    stationary_statistic_distribution,
     walk1_kernel,
 )
 from mixscope.verify import statistic_law_at, walk1_position_distribution
@@ -128,7 +129,7 @@ class TestTrackedCardMatchesDenseDeck:
         laws = reference_laws(kernel, start, 4)
         for p in range(1, n + 1):
             # the identity deck holds card p at position p
-            position = deck_statistic(n, StatisticKind("position_of", (p,)))
+            position = deck_statistic(n, Kind("position_of", (p,)))
             for t, law in enumerate(laws):
                 assert walk1_position_distribution(n, t, p).as_mapping() == \
                     push_forward(law, position).as_mapping()
@@ -145,9 +146,10 @@ class TestSparseLawMatchesDenseKernel:
         laws = [evolve(kernel, start, t) for t in range(5)]
         for stat in statistic_cases(n):
             image = deck_statistic(n, stat)
+            stationary = stationary_statistic_distribution(n, stat)
             for t, law in enumerate(laws):
                 expected = push_forward(law, image)
-                sparse = statistic_law_at(chain, n, t, stat)
+                sparse = statistic_law_at(chain, n, t, stat, stationary)
                 assert sparse.support == expected.support, (stat.label(), t)
                 assert sparse.weights == expected.weights, (stat.label(), t)
 

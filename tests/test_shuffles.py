@@ -12,6 +12,7 @@ from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, evolve, push_forward
 from mixscope.shuffles import (
     STATISTIC_KINDS,
+    Kind,
     Move,
     TOP_TO_BOTTOM,
     apply_move,
@@ -28,6 +29,7 @@ from mixscope.shuffles import (
     stationary_statistic_distribution,
     to_top,
     unrank_deck,
+    validate_statistic_kind,
     walk1_kernel,
 )
 
@@ -91,6 +93,16 @@ class TestKernels:
             for target, w in k.rows[s]:
                 col[target] += w
         assert all(v == 1 for v in col.values())
+
+    # n! rows x one step's branches, at n = 3
+    @pytest.mark.parametrize("maker,charge", [(random_to_top_kernel, 6 * 3),
+                                              (walk1_kernel, 6 * 4), (riffle_kernel, 6 * 8)])
+    def test_dense_builders_are_budgeted(self, monkeypatch, maker, charge):
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(charge))
+        assert len(maker(3).states) == 6
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(charge - 1))
+        with pytest.raises(CapacityError, match="dense kernel"):
+            maker(3)
 
     @pytest.mark.parametrize("maker", [random_to_top_kernel, walk1_kernel, riffle_kernel])
     def test_uniform_stationary_n4(self, maker):
@@ -205,6 +217,15 @@ class TestStatistics:
         ):
             with pytest.raises(ValueError):
                 parse_statistic(text, 4)
+
+    def test_parser_error_messages(self):
+        for text, message in (("nope", "unknown statistic 'nope'"),
+                              ("top_card:x", "bad statistic parameters 'x'"),
+                              ("top_k_order:9", "1 <= k <= 4")):
+            with pytest.raises(ValueError, match=message):
+                parse_statistic(text, 4)
+        with pytest.raises(ValueError, match="unknown statistic kind 'nope'"):
+            validate_statistic_kind(Kind("nope", ()), 4)
 
     def test_label_round_trip(self):
         for text in ("top_card", "top_k_order:2", "distance:1,3", "positions_of:1,2"):

@@ -13,7 +13,7 @@ import pytest
 
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
-from mixscope.shuffles import parse_statistic, stationary_statistic_distribution
+from mixscope.shuffles import Kind, parse_statistic, stationary_statistic_distribution
 from mixscope.verify import (
     InvariantError,
     Path,
@@ -28,6 +28,7 @@ from mixscope.verify import (
     prob_k_distinct,
     prob_strings_distinct,
     statistic_law_at,
+    validate_predicate_kind,
     walk1_position_distribution,
 )
 
@@ -124,7 +125,7 @@ class TestCertification:
         rep = check_strong_stationarity(
             "rtt", 4, 3, parse_predicate("k_distinct:2", 4, "rtt"), stat
         )
-        law = statistic_law_at("rtt", 4, 3, stat)
+        law = statistic_law_at("rtt", 4, 3, stat, rep.target)
         assert separation_distance(law, rep.target) <= rep.sep_bound
 
     def test_walk1_refutation_is_stable_yet_wrong(self):
@@ -145,7 +146,7 @@ class TestCertification:
         rep = check_strong_stationarity(
             "rtt", 4, 4, parse_predicate("all_chosen", 4, "rtt"), stat
         )
-        law = statistic_law_at("rtt", 4, 4, stat)
+        law = statistic_law_at("rtt", 4, 4, stat, rep.target)
         if rep.is_strongly_stationary:
             for a in rep.target.support:
                 assert law.weight(a) >= rep.q * rep.target.weight(a)
@@ -362,7 +363,8 @@ class TestAlwaysPredicateRoute:
             enumerate_paths(chain, n, t), pred, stat, t
         )
         assert q == 1
-        assert cond.as_mapping() == statistic_law_at(chain, n, t, stat).as_mapping()
+        law = statistic_law_at(chain, n, t, stat, stationary_statistic_distribution(n, stat))
+        assert cond.as_mapping() == law.as_mapping()
 
 
 class TestMonteCarlo:
@@ -414,6 +416,15 @@ class TestPredicateValidation:
                      "chosen_more_recently_than:1,4", "always:1"):
             with pytest.raises(ValueError):
                 parse_predicate(text, 4, "rtt")
+
+    def test_parser_error_messages(self):
+        for text, message in (("nope", "unknown predicate 'nope'"),
+                              ("k_distinct:2,a", "bad predicate parameters '2,a'"),
+                              ("k_distinct:5", "1 <= k <= 4")):
+            with pytest.raises(ValueError, match=message):
+                parse_predicate(text, 4, "rtt")
+        with pytest.raises(ValueError, match="unknown predicate kind 'nope'"):
+            validate_predicate_kind(Kind("nope", ()), 4, "rtt")
 
     def test_labels(self):
         assert parse_predicate("k_distinct:2", 4, "rtt").label() == "k_distinct:2"
