@@ -34,7 +34,6 @@ from .shuffles import (
     Kind,
     apply_move,
     deck_statistic,
-    enumerate_riffle,
     identity_deck,
     inverse_riffle_apply,
     parse_statistic,
@@ -93,7 +92,6 @@ __all__ = [
     "Kind",
     "apply_move",
     "deck_statistic",
-    "enumerate_riffle",
     "identity_deck",
     "inverse_riffle_apply",
     "parse_statistic",

@@ -188,20 +188,6 @@ def inverse_riffle_apply(deck: tuple, strings: tuple) -> tuple:
     return tuple(sorted(deck, key=lambda c: strings[c - 1][::-1]))
 
 
-def enumerate_riffle(n: int, t: int):
-    """All (2^t)^n string assignments with the deck each produces from the
-    identity start; every assignment carries weight 2^(-tn)."""
-    count = (2 ** t) ** n
-    require_within_budget(count, f"riffle enumeration n={n} t={t}", "use Monte-Carlo mode")
-    start = identity_deck(n)
-    weight = Fraction(1, count)
-    all_strings = ["".join(bits) for bits in itertools.product("01", repeat=t)]
-    out = []
-    for assignment in itertools.product(all_strings, repeat=n):
-        out.append((assignment, inverse_riffle_apply(start, assignment), weight))
-    return out
-
-
 # Statistic catalog
 
 STATISTIC_KINDS = (
@@ -296,8 +282,8 @@ def _parity(deck: tuple) -> str:
 
 
 def evaluate_statistic(kind: Kind, deck: tuple):
-    """Evaluate a statistic on a deck; values are hashable and canonical."""
-    validate_statistic_kind(kind, len(deck))
+    """Evaluate a statistic, validated once by the caller, on a deck; values
+    are hashable and canonical."""
     k, ps = kind.kind, kind.params
     n = len(deck)
     if k == "top_card":
@@ -346,6 +332,7 @@ def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
     the decks giving each value, over all of S_n, divided once by n!."""
     if n > MAX_DENSE_N:
         raise ValueError(f"stationary enumeration covers n <= {MAX_DENSE_N}")
+    validate_statistic_kind(kind, n)
     tally: dict = {}
     for deck in itertools.permutations(range(1, n + 1)):
         v = evaluate_statistic(kind, deck)

@@ -21,12 +21,14 @@ of forward count over decks alone, started from the identity deck, so it
 visits only the decks the walk reaches; the dense kernels in shuffles are
 its oracle.
 
-Path enumeration stays as the independent oracle: every path with its
-rational weight, predicates evaluated on full path prefixes (moves and
-intermediate decks).  Bookkeeping errors in pencil-and-paper path
-arguments, and in the lumping, are exactly what it exists to catch.  A
-seeded Monte-Carlo fallback estimates the same quantities but never
-certifies.
+A seeded Monte-Carlo fallback estimates the same quantities but never
+certifies; it steps the DP's lumped (deck, summary) state per sample, so
+an estimate and a certificate read a predicate the same way.
+
+Path enumeration is the independent oracle, used by no report: every path
+with its rational weight, predicates evaluated on full path prefixes
+(moves and intermediate decks).  Bookkeeping errors in pencil-and-paper
+path arguments, and in the lumping, are exactly what it exists to catch.
 
 Predicates need not be stable (true-once-true-forever); the report states
 whether the one checked was stable along every path.
@@ -302,7 +304,9 @@ def _advance_summary(chain: str, deck: tuple, summary, move, new_deck: tuple):
     if chain != "riffle":
         if move.kind != "to_top":
             return summary
-        return (move.card,) + tuple(c for c in summary if c != move.card)
+        card = move.card
+        i = summary.index(card) if card in summary else len(summary)
+        return (card,) + summary[:i] + summary[i + 1:]
     key_class, k = {}, 0
     for i, c in enumerate(deck):
         if i and summary >> (i - 1) & 1:
@@ -441,6 +445,7 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
     steps before it starts.
     """
     _require_dense(n)
+    validate_statistic_kind(statistic, n)
     # path_count(chain, n, 1) is one step's branch count, and rejects an unknown chain
     require_within_budget(factorial(n) * path_count(chain, n, 1) * max(t, 1),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
@@ -560,22 +565,6 @@ class MonteCarloReport:
     certifies: bool = False
 
 
-def _sample_path(chain: str, n: int, t: int, rng: random.Random) -> Path:
-    start = identity_deck(n)
-    decks = [start]
-    moves = []
-    for _ in range(t):
-        if chain == "rtt":
-            mv = to_top(rng.randrange(1, n + 1))
-        elif chain == "walk1":
-            mv = TOP_TO_BOTTOM if rng.random() < 0.5 else to_top(rng.randrange(1, n + 1))
-        else:
-            mv = tuple(rng.choice("01") for _ in range(n))
-        moves.append(mv)
-        decks.append(_step(chain, decks[-1], mv))
-    return Path(chain, start, tuple(moves), tuple(decks), Fraction(0))
-
-
 def _wilson(successes: int, trials: int, z: float = 1.96) -> tuple:
     if trials == 0:
         return (0.0, 1.0)
@@ -591,21 +580,40 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
                             seed: int) -> MonteCarloReport:
     """Estimate q and the conditional law from seeded samples.
 
+    Each sample steps one lumped (deck, summary) state with the moves and
+    summaries the certification DP uses, and decides the predicate on it.
     Reports point estimates with a 95% Wilson interval for q.  Sampling can
     refute nothing and certify nothing; certifies is always False.
     """
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     if samples <= 0:
         raise ValueError("samples must be positive")
+    # the riffle's 2^n columns are drawn bit by bit, never listed
+    to_tops = None if chain == "riffle" else chain_branches(chain, n)[0]
+    start = identity_deck(n)
     rng = random.Random(seed)
     satisfied = 0
     tally: dict = {}
     for _ in range(samples):
-        path = _sample_path(chain, n, t, rng)
-        if predicate_holds(predicate, path):
+        deck, summary = start, 0 if chain == "riffle" else ()
+        for _ in range(t):
+            # these draws, in this order, fix every seeded payload
+            if chain == "riffle":
+                move = tuple(rng.choice("01") for _ in range(n))
+            elif chain == "walk1" and rng.random() < 0.5:
+                move = TOP_TO_BOTTOM
+            else:
+                # the to-top moves come first, card c at index c - 1
+                move = to_tops[rng.randrange(n)][0]
+            new_deck = _step(chain, deck, move)
+            summary = _advance_summary(chain, deck, summary, move, new_deck)
+            deck = new_deck
+        if _summary_holds(predicate, deck, summary):
             satisfied += 1
-            v = evaluate_statistic(statistic, path.decks[-1])
+            v = evaluate_statistic(statistic, deck)
             tally[v] = tally.get(v, 0) + 1
     freq = {v: tally[v] / satisfied for v in sorted(tally, key=_canon_key)} if satisfied else {}
     return MonteCarloReport(

@@ -134,6 +134,62 @@ def test_float_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# SHA-256 of the seeded Monte Carlo report bytes, pinned while the sampler
+# still built a Path per sample: stepping the lumped (deck, summary) state
+# must draw the same random numbers and count the same samples
+SAMPLED_PINS = [
+    (("sst-check", "--chain", "rtt", "--n", "5", "--t", "4", "--statistic", "top_k_order:2",
+      "--predicate", "k_distinct:3", "--samples", "300", "--seed", "7"),
+     "fa3b268989a6b7b69783e7616a6657120442dffb8da45300c78fcc141a444ecd",
+     "a47d24c22730ba1abeba172fbbb24725d445411a512939ab81133d75da401ba8"),
+    (("sst-check", "--chain", "rtt", "--n", "5", "--t", "6", "--statistic", "position_of:1",
+      "--predicate", "chosen_more_recently_than:2,2", "--samples", "300", "--seed", "8"),
+     "6dc7eeb9e312aa883a030552267cbd27268cf2ddeac8dac652b1f74713409545",
+     "6dfbf5faa51ba4e83a9e33d03935cefd710d2b8808ef58a1bd65cacf0d47f44c"),
+    (("sst-check", "--chain", "walk1", "--n", "4", "--t", "5", "--statistic", "top_card",
+      "--predicate", "any_of_chosen:1,3", "--samples", "300", "--seed", "9"),
+     "edab868a12610e28b65ccf6f9e0a303feb754e9c14f114ef6a0a738a6a4b2103",
+     "c9e3bd701c7d99f011ac30e8f6d07f54db907ea318a41d26e01da62d64a1197e"),
+    (("sst-check", "--chain", "riffle", "--n", "4", "--t", "2",
+      "--statistic", "relative_order:1,4", "--predicate", "riffle_first_j_strings_distinct:2",
+      "--samples", "300", "--seed", "10"),
+     "5de3975e6e6a9f54e3802474e471579ca5f482d940a264c19113e08754be1d92",
+     "99fcd1acac05a8fdcc4a14e3b215332008f6b910f87d33df6b63e5df413819d7"),
+    (("sst-check", "--chain", "riffle", "--n", "4", "--t", "2", "--statistic", "top_card",
+      "--predicate", "riffle_set_strings_distinct:1,3", "--samples", "300", "--seed", "11"),
+     "fb21ede9d041c4ff6ca0f10818f31684f3d17c985e86c004f90bff95e6c2bcf7",
+     "76df71d9b0a9ad2d0d092241a559c10bdd12bdb43ec95f92a2035f376c869fd0"),
+    (("sst-check", "--chain", "riffle", "--n", "4", "--t", "3", "--statistic", "block_sets:2",
+      "--predicate", "riffle_blocks_nonoverlapping:2", "--samples", "300", "--seed", "12"),
+     "b085b477c07402dee41e7b87008a1502b092cd9b97faef3fc36292bd523fdea9",
+     "7a978769df2b970163af76025df02fd3dbaa0695e84ef2464b22c210c1c55563"),
+    (("stat-mix", "--chain", "rtt", "--n", "5", "--t", "3", "--statistic", "top_k_set:2",
+      "--samples", "300", "--seed", "13"),
+     "6bfc3f0e8d72d4d10f5d4923743cebd2871aafada878d095d0970c6e48244d94",
+     "5d2869493ca77547094ce4957b6747ef7b1aa53e2fd4eb82fea8b9d862dade14"),
+    (("stat-mix", "--chain", "walk1", "--n", "4", "--t", "4", "--statistic", "position_of:2",
+      "--samples", "300", "--seed", "14"),
+     "97b94b9cddd44d217ad5719fa25f0774bb724563c186a371044bc574ce83f917",
+     "16692702f43fa6b611f7402877834180326cda2f671f8b093c186766b592132f"),
+    (("stat-mix", "--chain", "riffle", "--n", "4", "--t", "2", "--statistic", "parity",
+      "--samples", "300", "--seed", "15"),
+     "2183122830b4ceb1f58180e56ef061c66482dace34f95b414394ce5e0b45ed28",
+     "c28f611507e35af5d7fd180e36cad3f1ae591673380ad305d17b934b3f55871b"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,json_sha,csv_sha", SAMPLED_PINS,
+                         ids=["sst-rtt-k_distinct", "sst-rtt-more_recently", "sst-walk1-any_of",
+                              "sst-riffle-first_j", "sst-riffle-set", "sst-riffle-blocks",
+                              "stat-mix-rtt", "stat-mix-walk1", "stat-mix-riffle"])
+def test_sampled_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    expected = json_sha if fmt == "json" else csv_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestStatMix:
     def test_top_card_uniform_after_one_step(self, capsys):
         doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "3",

@@ -18,7 +18,6 @@ from mixscope.shuffles import (
     apply_move,
     deck_space,
     deck_statistic,
-    enumerate_riffle,
     evaluate_statistic,
     identity_deck,
     inverse_riffle_apply,
@@ -141,31 +140,12 @@ class TestRiffle:
                 stepwise = inverse_riffle_apply(stepwise, tuple(a[s] for a in assignment))
             assert inverse_riffle_apply(start, assignment) == stepwise
 
-    def test_enumerate_riffle_n2_t1(self):
-        out = enumerate_riffle(2, 1)
-        assert len(out) == 4
-        assert all(w == F(1, 4) for _, _, w in out)
-        tally = {}
-        for _, deck, w in out:
-            tally[deck] = tally.get(deck, F(0)) + w
-        assert tally == {(1, 2): F(3, 4), (2, 1): F(1, 4)}
-
-    def test_enumerate_riffle_distinct_count_n3_t2(self):
-        out = enumerate_riffle(3, 2)
-        assert len(out) == 64
-        distinct = sum(1 for a, _, _ in out if len(set(a)) == 3)
-        assert distinct == 24
-
     def test_riffle_kernel_is_single_bit_step(self):
         k = riffle_kernel(3)
         row = dict(k.rows[rank_deck((1, 2, 3))])
         # 8 bit columns; (1,0,0) and permutation-equal columns aggregate
         assert row[rank_deck((2, 3, 1))] == F(1, 8)
         assert row[rank_deck((1, 2, 3))] == F(4, 8)  # 000, 111, 011, 001
-
-    def test_budget_guard(self):
-        with pytest.raises(CapacityError):
-            enumerate_riffle(8, 10)
 
 
 class TestStatistics:

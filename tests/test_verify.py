@@ -6,6 +6,7 @@ derivation, or by a second enumeration route inside the test itself.
 """
 
 import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -13,8 +14,21 @@ import pytest
 
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
-from mixscope.shuffles import Kind, parse_statistic, stationary_statistic_distribution
+from mixscope.shuffles import (
+    TOP_TO_BOTTOM,
+    Kind,
+    apply_move,
+    deck_statistic,
+    evaluate_statistic,
+    inverse_riffle_apply,
+    parse_statistic,
+    stationary_statistic_distribution,
+    to_top,
+)
 from mixscope.verify import (
+    CHOICE_PREDICATES,
+    PREDICATE_KINDS,
+    RIFFLE_PREDICATES,
     InvariantError,
     Path,
     check_strong_stationarity,
@@ -400,6 +414,74 @@ class TestMonteCarlo:
             samples=4000, seed=3,
         )
         assert abs(rep.q_hat - 15 / 16) < 0.03
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            monte_carlo_conditional("rtt", 3, -1, parse_predicate("always", 3, "rtt"),
+                                    parse_statistic("top_card", 3), samples=10, seed=0)
+
+
+def replay_path_sampler(chain, n, t, pred, stat, samples, seed):
+    """(satisfied, conditional_freq) from the same seeded draws, each sample
+    built into a Path and read by predicate_holds."""
+    rng = random.Random(seed)
+    start = tuple(range(1, n + 1))
+    satisfied, tally = 0, {}
+    for _ in range(samples):
+        moves, decks = [], [start]
+        for _ in range(t):
+            if chain == "riffle":
+                mv = tuple(rng.choice("01") for _ in range(n))
+                decks.append(inverse_riffle_apply(decks[-1], mv))
+            else:
+                if chain == "walk1" and rng.random() < 0.5:
+                    mv = TOP_TO_BOTTOM
+                else:
+                    mv = to_top(rng.randrange(1, n + 1))
+                decks.append(apply_move(decks[-1], mv))
+            moves.append(mv)
+        if predicate_holds(pred, Path(chain, start, tuple(moves), tuple(decks), F(0))):
+            satisfied += 1
+            v = evaluate_statistic(stat, decks[-1])
+            tally[v] = tally.get(v, 0) + 1
+    return satisfied, {v: c / satisfied for v, c in tally.items()}
+
+
+class TestSamplerMatchesPaths:
+    """monte_carlo_conditional's lumped states against the same draws read as paths."""
+
+    @pytest.mark.parametrize("chain,ts", [("rtt", (0, 1, 3, 6)), ("walk1", (0, 1, 3, 6)),
+                                          ("riffle", (0, 1, 2, 3))])
+    def test_every_predicate_kind(self, chain, ts):
+        kinds = set()
+        for n in (4, 5):
+            stat = parse_statistic("top_k_order:2", n)
+            for t in ts:
+                for seed, ptext in enumerate(oracle_predicates(chain, n)):
+                    pred = parse_predicate(ptext, n, chain)
+                    kinds.add(pred.kind)
+                    rep = monte_carlo_conditional(chain, n, t, pred, stat, samples=60, seed=seed)
+                    expected = replay_path_sampler(chain, n, t, pred, stat, 60, seed)
+                    assert (rep.satisfied, rep.conditional_freq) == expected, (n, t, ptext)
+        other = CHOICE_PREDICATES if chain == "riffle" else RIFFLE_PREDICATES
+        assert kinds == set(PREDICATE_KINDS) - set(other)
+
+
+@pytest.mark.parametrize("stat", [Kind("position_of", (9,)), Kind("top_k_order", (9,))])
+def test_statistic_validated_at_every_entry(stat):
+    """A kind out of range for n = 4 is refused before any deck is evaluated."""
+    always = parse_predicate("always", 4, "rtt")
+    top_card_law = stationary_statistic_distribution(4, parse_statistic("top_card", 4))
+    calls = [
+        lambda: stationary_statistic_distribution(4, stat),
+        lambda: statistic_law_at("rtt", 4, 2, stat, top_card_law),
+        lambda: deck_statistic(4, stat),
+        lambda: check_strong_stationarity("rtt", 4, 2, always, stat),
+        lambda: monte_carlo_conditional("rtt", 4, 2, always, stat, samples=10, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="needs one"):
+            call()
 
 
 class TestPredicateValidation:
