@@ -17,8 +17,9 @@ exact distribution through t steps of a kernel with integer counts: the
 start is scaled to integers over the lcm d0 of its denominators, each step
 multiplies by integer multiplicities over D, and the one division, by
 d0 * D^t, happens when the result is built.  push_forward maps a
-distribution through a statistic.  Both are pure and deterministic, so
-results are reproducible bit for bit.
+distribution through a statistic.  law_from_tally builds every law that
+comes from a tally of values, in the one canonical value order.  All are
+pure and deterministic, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -174,8 +175,14 @@ def push_forward(mu: Distribution, f) -> Distribution:
         except Exception as exc:
             raise ValueError(f"statistic undefined on state {s!r}") from exc
         acc[v] = acc.get(v, Fraction(0)) + w
-    values = sorted(acc, key=_canon_key)
-    return Distribution(tuple(values), tuple(acc[v] for v in values))
+    return law_from_tally(acc, 1)
+
+
+def law_from_tally(tally: Mapping, total) -> Distribution:
+    """The law giving each tallied value weight tally[value] / total, over
+    the tallied values in canonical order; total is the tallies' sum."""
+    values = sorted(tally, key=_canon_key)
+    return Distribution(tuple(values), tuple(Fraction(tally[v], total) for v in values))
 
 
 def evolve(kernel: Kernel, mu: Distribution, t: int) -> Distribution:

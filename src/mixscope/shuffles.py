@@ -12,12 +12,17 @@ Three chains are provided:
                   strings per card.
 
 All three fix the uniform distribution on the symmetric group.  Explicit
-kernels over Lehmer ranks are built for 2 <= n <= 8 (8! = 40320 states),
-each charged to the budget as n! rows x one step's branches.
+kernels over Lehmer ranks are built for 2 <= n <= 8 (8! = 40320 states)
+by one row loop over a chain's weighted moves, each charged to the budget
+as n! rows x one step's branches.
 No report uses them: the exact law at time t is a forward count over the
 decks reachable from the identity (verify.statistic_law_at), and the
 stationary law of a statistic an integer count over S_n.  The kernels stay
 as the independent oracle those counts are tested against.
+
+Each statistic and predicate kind maps to a rule of PARAMETER_RULES,
+checked by validate_kind; statistic_tally is the one loop evaluating a
+statistic over weighted decks.
 
 Multi-step riffle strings record the earliest step's bit first.  One-shot
 application must agree with composing single-bit steps, and a stable sort
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, _canon_key
+from .dist import Distribution, Kernel, law_from_tally
 
 MAX_DENSE_N = 8
 
@@ -121,54 +126,42 @@ def _require_dense(n: int) -> None:
         )
 
 
-def random_to_top_kernel(n: int) -> Kernel:
-    """Each of the n to-top moves with probability 1/n, over Lehmer ranks."""
-    _require_dense(n)
-    require_within_budget(_FACT[n] * n, f"dense kernel rtt n={n}", "use a smaller n")
-    p = Fraction(1, n)
+def _dense_kernel(n: int, branches: list, step) -> Kernel:
+    """One step over Lehmer ranks: every (move, probability) of branches
+    applied with step to every deck of S_n."""
     rows = {}
     for r in deck_space(n):
         deck = unrank_deck(n, r)
         row: dict = {}
-        for c in range(1, n + 1):
-            tr = rank_deck(apply_move(deck, to_top(c)))
+        for move, p in branches:
+            tr = rank_deck(step(deck, move))
             row[tr] = row.get(tr, Fraction(0)) + p
         rows[r] = tuple(sorted(row.items()))
     return Kernel(deck_space(n), rows)
+
+
+def random_to_top_kernel(n: int) -> Kernel:
+    """Each of the n to-top moves with probability 1/n, over Lehmer ranks."""
+    _require_dense(n)
+    require_within_budget(_FACT[n] * n, f"dense kernel rtt n={n}", "use a smaller n")
+    return _dense_kernel(n, [(to_top(c), Fraction(1, n)) for c in range(1, n + 1)], apply_move)
 
 
 def walk1_kernel(n: int) -> Kernel:
     """To-top moves at 1/(2n) each plus top-to-bottom at 1/2."""
     _require_dense(n)
     require_within_budget(_FACT[n] * (n + 1), f"dense kernel walk1 n={n}", "use a smaller n")
-    p = Fraction(1, 2 * n)
-    rows = {}
-    for r in deck_space(n):
-        deck = unrank_deck(n, r)
-        row = {}
-        for c in range(1, n + 1):
-            tr = rank_deck(apply_move(deck, to_top(c)))
-            row[tr] = row.get(tr, Fraction(0)) + p
-        tr = rank_deck(apply_move(deck, TOP_TO_BOTTOM))
-        row[tr] = row.get(tr, Fraction(0)) + Fraction(1, 2)
-        rows[r] = tuple(sorted(row.items()))
-    return Kernel(deck_space(n), rows)
+    branches = [(to_top(c), Fraction(1, 2 * n)) for c in range(1, n + 1)]
+    return _dense_kernel(n, branches + [(TOP_TO_BOTTOM, Fraction(1, 2))], apply_move)
 
 
 def riffle_kernel(n: int) -> Kernel:
     """One single-bit inverse riffle step: 2^n equally likely bit columns."""
     _require_dense(n)
     require_within_budget(_FACT[n] * 2 ** n, f"dense kernel riffle n={n}", "use a smaller n")
-    p = Fraction(1, 2 ** n)
-    rows = {}
-    for r in deck_space(n):
-        deck = unrank_deck(n, r)
-        row = {}
-        for bits in itertools.product("01", repeat=n):
-            tr = rank_deck(inverse_riffle_apply(deck, bits))
-            row[tr] = row.get(tr, Fraction(0)) + p
-        rows[r] = tuple(sorted(row.items()))
-    return Kernel(deck_space(n), rows)
+    columns = itertools.product("01", repeat=n)
+    return _dense_kernel(n, [(bits, Fraction(1, 2 ** n)) for bits in columns],
+                         inverse_riffle_apply)
 
 
 # Inverse riffle
@@ -190,20 +183,35 @@ def inverse_riffle_apply(deck: tuple, strings: tuple) -> tuple:
 
 # Statistic catalog
 
-STATISTIC_KINDS = (
-    "top_card",
-    "top_k_order",
-    "top_k_set",
-    "position_of",
-    "positions_of",
-    "parity",
-    "card_above",
-    "card_below",
-    "relative_order",
-    "distance",
-    "block_sets",
-    "modular_hands",
-)
+def _cards(least: int, most: int | None = None):
+    """A rule's test: between least and most (no bound when None) distinct
+    card labels in 1..n."""
+    return lambda ps, n: (least <= len(ps) and (most is None or len(ps) <= most)
+                          and len(set(ps)) == len(ps) and all(1 <= c <= n for c in ps))
+
+
+# The parameter rules statistics and predicates share: rule -> (test of the
+# parameters at deck size n, what a kind under the rule needs).
+PARAMETER_RULES = {
+    "none": (_cards(0, 0), "takes no parameters"),
+    "k": (_cards(1, 1), "needs one parameter k with 1 <= k <= {n}"),
+    "card": (_cards(1, 1), "needs one card label in 1..{n}"),
+    "cards": (_cards(1), "needs distinct card labels in 1..{n}"),
+    "ordered cards": (_cards(2), "needs at least two distinct card labels in 1..{n}"),
+    "pair": (_cards(2, 2), "needs two distinct card labels in 1..{n}"),
+    "divisor": (lambda ps, n: len(ps) == 1 and ps[0] >= 1 and n % ps[0] == 0,
+                "needs one divisor of n={n}"),
+    "recency": (lambda ps, n: len(ps) == 2 and 1 <= ps[0] <= n and 1 <= ps[1] < n,
+                "needs a card in 1..{n} and k in 1..{below}"),
+}
+
+# statistic kind -> its parameter rule
+STATISTIC_KINDS = {
+    "top_card": "none", "top_k_order": "k", "top_k_set": "k", "position_of": "card",
+    "positions_of": "cards", "parity": "none", "card_above": "card", "card_below": "card",
+    "relative_order": "ordered cards", "distance": "pair", "block_sets": "divisor",
+    "modular_hands": "divisor",
+}
 
 
 @dataclass(frozen=True)
@@ -219,7 +227,7 @@ class Kind:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
-def parse_kind(text: str, kinds: tuple, noun: str) -> Kind:
+def parse_kind(text: str, kinds: dict, noun: str) -> Kind:
     """Parse the CLI grammar name[:p1,p2,...], e.g. top_k_order:2 or
     distance:1,5, for a name in kinds; noun names the grammar in errors."""
     name, _, arg = text.partition(":")
@@ -234,34 +242,20 @@ def parse_kind(text: str, kinds: tuple, noun: str) -> Kind:
     return Kind(name, params)
 
 
+def validate_kind(kind: Kind, kinds: dict, n: int, noun: str) -> None:
+    """Check the kind name against kinds (kind -> parameter rule), and its
+    parameters against the rule at deck size n."""
+    rule = kinds.get(kind.kind)
+    if rule is None:
+        raise ValueError(f"unknown {noun} kind {kind.kind!r}")
+    accepts, needs = PARAMETER_RULES[rule]
+    if not accepts(kind.params, n):
+        raise ValueError(f"{kind.kind} {needs.format(n=n, below=n - 1)}")
+
+
 def validate_statistic_kind(kind: Kind, n: int) -> None:
     """Check the kind name, and parameter ranges against a deck size n."""
-    k, ps = kind.kind, kind.params
-    if k not in STATISTIC_KINDS:
-        raise ValueError(f"unknown statistic kind {k!r}")
-    if k in ("top_card", "parity"):
-        if ps:
-            raise ValueError(f"{k} takes no parameters")
-    elif k in ("top_k_order", "top_k_set"):
-        if len(ps) != 1 or not 1 <= ps[0] <= n:
-            raise ValueError(f"{k} needs one parameter k with 1 <= k <= {n}")
-    elif k in ("position_of", "card_above", "card_below"):
-        if len(ps) != 1 or not 1 <= ps[0] <= n:
-            raise ValueError(f"{k} needs one card label in 1..{n}")
-    elif k in ("positions_of", "relative_order"):
-        if not ps or len(set(ps)) != len(ps) or any(not 1 <= c <= n for c in ps):
-            raise ValueError(f"{k} needs distinct card labels in 1..{n}")
-        if k == "relative_order" and len(ps) < 2:
-            raise ValueError("relative_order needs at least two cards")
-    elif k == "distance":
-        if len(ps) != 2 or ps[0] == ps[1] or any(not 1 <= c <= n for c in ps):
-            raise ValueError(f"distance needs two distinct card labels in 1..{n}")
-    elif k == "block_sets":
-        if len(ps) != 1 or ps[0] < 1 or n % ps[0] != 0:
-            raise ValueError(f"block_sets needs a block size dividing n={n}")
-    elif k == "modular_hands":
-        if len(ps) != 1 or ps[0] < 1 or n % ps[0] != 0:
-            raise ValueError(f"modular_hands needs a modulus dividing n={n}")
+    validate_kind(kind, STATISTIC_KINDS, n, "statistic")
 
 
 def parse_statistic(text: str, n: int) -> Kind:
@@ -327,15 +321,22 @@ def deck_statistic(n: int, kind: Kind):
     return lambda r: evaluate_statistic(kind, unrank_deck(n, r))
 
 
+def statistic_tally(kind: Kind, weighted_decks) -> dict:
+    """value -> total weight of the (deck, weight) pairs giving it, for a
+    statistic validated once by the caller.  weighted_decks may be a
+    generator; it is read once and no deck is kept."""
+    tally: dict = {}
+    for deck, weight in weighted_decks:
+        v = evaluate_statistic(kind, deck)
+        tally[v] = tally.get(v, 0) + weight
+    return tally
+
+
 def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
     """Exact law of the statistic under the uniform deck: an integer count of
     the decks giving each value, over all of S_n, divided once by n!."""
     if n > MAX_DENSE_N:
         raise ValueError(f"stationary enumeration covers n <= {MAX_DENSE_N}")
     validate_statistic_kind(kind, n)
-    tally: dict = {}
-    for deck in itertools.permutations(range(1, n + 1)):
-        v = evaluate_statistic(kind, deck)
-        tally[v] = tally.get(v, 0) + 1
-    values = sorted(tally, key=_canon_key)
-    return Distribution(tuple(values), tuple(Fraction(tally[v], _FACT[n]) for v in values))
+    decks = itertools.permutations(range(1, n + 1))
+    return law_from_tally(statistic_tally(kind, ((deck, 1) for deck in decks)), _FACT[n])

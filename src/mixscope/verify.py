@@ -12,9 +12,10 @@ flag) with integer counts over the chain's common denominator D, dividing
 by D^t once at the end (the lumped-chain construction of Kemeny and Snell).
 The summary is all a predicate can depend on: for card-choice chains the
 distinct chosen cards, most recent first; for the inverse riffle a bitmask
-of which adjacent deck positions hold different sort keys.  Certification
-means exact equality of the conditional and stationary laws, value by
-value.  The budget still counts the paths the lumped states stand for.
+of which adjacent deck positions hold different sort keys; for always,
+nothing (None).  Certification means exact equality of the conditional
+and stationary laws, value by value.  The budget still counts the paths
+the lumped states stand for.
 
 The law of a statistic at time t, with no conditioning, is the same kind
 of forward count over decks alone, started from the identity deck, so it
@@ -23,12 +24,15 @@ its oracle.
 
 A seeded Monte-Carlo fallback estimates the same quantities but never
 certifies; it steps the DP's lumped (deck, summary) state per sample, so
-an estimate and a certificate read a predicate the same way.
+an estimate and a certificate read a predicate the same way.  The DP, the
+deck count and the sampler all step with _advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
-(moves and intermediate decks).  Bookkeeping errors in pencil-and-paper
-path arguments, and in the lumping, are exactly what it exists to catch.
+(moves and intermediate decks), decks stepped by apply_move and
+inverse_riffle_apply, never by _advance.  Bookkeeping errors in
+pencil-and-paper path arguments, and in the lumping, are exactly what it
+exists to catch.
 
 Predicates need not be stable (true-once-true-forever); the report states
 whether the one checked was stable along every path.
@@ -43,37 +47,35 @@ from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, evolve, _canon_key
+from .dist import Distribution, Kernel, evolve, law_from_tally, _canon_key
 from .shuffles import (
     Kind,
     _require_dense,
     TOP_TO_BOTTOM,
     apply_move,
-    evaluate_statistic,
     identity_deck,
     inverse_riffle_apply,
     parse_kind,
     stationary_statistic_distribution,
+    statistic_tally,
     to_top,
+    validate_kind,
     validate_statistic_kind,
 )
 
 CHAINS = ("rtt", "walk1", "riffle")
 
-CHOICE_PREDICATES = (
-    "k_distinct",
-    "all_chosen",
-    "card_chosen",
-    "any_of_chosen",
-    "chosen_more_recently_than",
-    "any_to_top",
-)
-RIFFLE_PREDICATES = (
-    "riffle_first_j_strings_distinct",
-    "riffle_set_strings_distinct",
-    "riffle_blocks_nonoverlapping",
-)
-PREDICATE_KINDS = ("always",) + CHOICE_PREDICATES + RIFFLE_PREDICATES
+# predicate kind -> its parameter rule (shuffles.PARAMETER_RULES)
+CHOICE_PREDICATES = {
+    "k_distinct": "k", "all_chosen": "none", "card_chosen": "card", "any_of_chosen": "cards",
+    "chosen_more_recently_than": "recency", "any_to_top": "none",
+}
+RIFFLE_PREDICATES = {
+    "riffle_first_j_strings_distinct": "k",
+    "riffle_set_strings_distinct": "cards",
+    "riffle_blocks_nonoverlapping": "divisor",
+}
+PREDICATE_KINDS = {"always": "none", **CHOICE_PREDICATES, **RIFFLE_PREDICATES}
 
 
 class InvariantError(RuntimeError):
@@ -81,40 +83,14 @@ class InvariantError(RuntimeError):
 
 
 def validate_predicate_kind(pred: Kind, n: int, chain: str) -> None:
-    """Check the path-event name, its chain, and parameter ranges against n."""
-    k, ps = pred.kind, pred.params
-    if k not in PREDICATE_KINDS:
-        raise ValueError(f"unknown predicate kind {k!r}")
+    """Check the path-event name, its chain family, then its parameter rule
+    at deck size n."""
+    k = pred.kind
     if k in RIFFLE_PREDICATES and chain != "riffle":
         raise ValueError(f"{k} applies to the riffle chain only")
     if k in CHOICE_PREDICATES and chain == "riffle":
         raise ValueError(f"{k} applies to card-choice chains only")
-    if k in ("always", "all_chosen", "any_to_top"):
-        if ps:
-            raise ValueError(f"{k} takes no parameters")
-    elif k == "k_distinct":
-        if len(ps) != 1 or not 1 <= ps[0] <= n:
-            raise ValueError(f"k_distinct needs k with 1 <= k <= {n}")
-    elif k == "card_chosen":
-        if len(ps) != 1 or not 1 <= ps[0] <= n:
-            raise ValueError(f"card_chosen needs a card label in 1..{n}")
-    elif k == "any_of_chosen":
-        if not ps or len(set(ps)) != len(ps) or any(not 1 <= c <= n for c in ps):
-            raise ValueError(f"any_of_chosen needs distinct card labels in 1..{n}")
-    elif k == "chosen_more_recently_than":
-        if len(ps) != 2 or not 1 <= ps[0] <= n or not 1 <= ps[1] <= n - 1:
-            raise ValueError(
-                f"chosen_more_recently_than needs a card in 1..{n} and k in 1..{n - 1}"
-            )
-    elif k == "riffle_first_j_strings_distinct":
-        if len(ps) != 1 or not 1 <= ps[0] <= n:
-            raise ValueError(f"riffle_first_j_strings_distinct needs j in 1..{n}")
-    elif k == "riffle_set_strings_distinct":
-        if not ps or len(set(ps)) != len(ps) or any(not 1 <= c <= n for c in ps):
-            raise ValueError(f"riffle_set_strings_distinct needs distinct labels in 1..{n}")
-    elif k == "riffle_blocks_nonoverlapping":
-        if len(ps) != 1 or ps[0] < 1 or n % ps[0] != 0:
-            raise ValueError(f"riffle_blocks_nonoverlapping needs a block size dividing {n}")
+    validate_kind(pred, PREDICATE_KINDS, n, "predicate")
 
 
 def parse_predicate(text: str, n: int, chain: str) -> Kind:
@@ -223,12 +199,6 @@ def chain_branches(chain: str, n: int) -> tuple:
     raise ValueError(f"unknown chain {chain!r}; expected one of {CHAINS}")
 
 
-def _step(chain: str, deck: tuple, move) -> tuple:
-    if chain == "riffle":
-        return inverse_riffle_apply(deck, move)
-    return apply_move(deck, move)
-
-
 def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
     """Yield every length-t path of the chain with its exact weight.
 
@@ -239,12 +209,13 @@ def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
         start = identity_deck(n)
     moves, denom = chain_branches(chain, n)
     branches = [(move, Fraction(m, denom)) for move, m in moves]
+    step = inverse_riffle_apply if chain == "riffle" else apply_move
     for combo in itertools.product(branches, repeat=t):
         decks = [start]
         weight = Fraction(1)
         for move, p in combo:
             weight *= p
-            decks.append(_step(chain, decks[-1], move))
+            decks.append(step(decks[-1], move))
         yield Path(chain, start, tuple(s for s, _ in combo), tuple(decks), weight)
 
 
@@ -252,26 +223,29 @@ def conditional_statistic_distribution(paths, predicate: Kind, statistic: Kind, 
     """(q, conditional law of the statistic at time t given the predicate).
 
     paths must be exhaustive for time t; q is the exact total weight of the
-    satisfying paths and the conditional is renormalized over them.
+    satisfying paths and the conditional is renormalized over them.  The
+    statistic is validated against the first path's deck size.
     """
-    q = Fraction(0)
     total = Fraction(0)
-    tally: dict = {}
-    for path in paths:
-        if len(path.moves) != t:
-            raise ValueError(f"path of length {len(path.moves)} in a time-{t} query")
-        total += path.weight
-        if predicate_holds(predicate, path):
-            q += path.weight
-            v = evaluate_statistic(statistic, path.decks[-1])
-            tally[v] = tally.get(v, Fraction(0)) + path.weight
+
+    def satisfying():
+        nonlocal total
+        for i, path in enumerate(paths):
+            if i == 0:
+                validate_statistic_kind(statistic, len(path.start))
+            if len(path.moves) != t:
+                raise ValueError(f"path of length {len(path.moves)} in a time-{t} query")
+            total += path.weight
+            if predicate_holds(predicate, path):
+                yield path.decks[-1], path.weight
+
+    tally = statistic_tally(statistic, satisfying())
     if total != 1:
         raise InvariantError(f"path weights sum to {total}, not 1; enumeration not exhaustive")
+    q = sum(tally.values(), Fraction(0))
     if q == 0:
         raise ValueError("predicate never satisfied")
-    values = sorted(tally, key=_canon_key)
-    conditional = Distribution(tuple(values), tuple(tally[v] / q for v in values))
-    return q, conditional
+    return q, law_from_tally(tally, q)
 
 
 @dataclass(frozen=True)
@@ -292,32 +266,53 @@ class SSTReport:
     predicate_stable: bool
 
 
-def _advance_summary(chain: str, deck: tuple, summary, move, new_deck: tuple):
-    """The predicate summary after one move from (deck, summary) to new_deck.
+def _start_summary(chain: str, predicate: Kind):
+    """The predicate summary of the empty path; always needs none."""
+    if predicate.kind == "always":
+        return None
+    return 0 if chain == "riffle" else ()
 
-    Choice chains: the distinct chosen cards, most recent first.  Riffle:
-    bit i is set when positions i and i+1 hold different reversed strings
-    (sort keys).  The stable sort keeps equal keys contiguous, so two cards
-    share a key exactly when no set bit lies between them; after the step
-    they share one when they also drew the same bit.
+
+def _advance(chain: str, deck: tuple, summary, move) -> tuple:
+    """The lumped state (deck, summary) after one move; a None summary
+    stays None.  Written apart from apply_move and inverse_riffle_apply,
+    which the path oracle uses, so that the two routes share no step.
+
+    Choice chains: the summary is the distinct chosen cards, most recent
+    first.  Riffle: bit i is set when positions i and i+1 hold different
+    reversed strings (sort keys), so two cards share a key exactly when no
+    set bit lies between them.  The step is a stable partition, zeros above
+    ones, and two cards that end up adjacent share a key when they drew the
+    same bit and shared one before.
     """
     if chain != "riffle":
         if move.kind != "to_top":
-            return summary
+            return deck[1:] + deck[:1], summary
         card = move.card
-        i = summary.index(card) if card in summary else len(summary)
-        return (card,) + summary[:i] + summary[i + 1:]
-    key_class, k = {}, 0
-    for i, c in enumerate(deck):
-        if i and summary >> (i - 1) & 1:
-            k += 1
-        key_class[c] = k
-    mask = 0
-    for i in range(len(new_deck) - 1):
-        a, b = new_deck[i], new_deck[i + 1]
-        if move[a - 1] != move[b - 1] or key_class[a] != key_class[b]:
-            mask |= 1 << i
-    return mask
+        i = deck.index(card)
+        deck = (card,) + deck[:i] + deck[i + 1:]
+        if summary is not None:
+            j = summary.index(card) if card in summary else len(summary)
+            summary = (card,) + summary[:j] + summary[j + 1:]
+        return deck, summary
+    groups = ([], [])
+    masks = [0, 0]  # the split bits inside each group, from its top
+    split = [False, False]  # a set bit since the group's last card
+    splits = (summary or 0) << 1
+    for c in deck:
+        if splits & 1:
+            split[0] = split[1] = True
+        splits >>= 1
+        g = move[c - 1] == "1"
+        if split[g] and groups[g]:
+            masks[g] |= 1 << (len(groups[g]) - 1)
+        split[g] = False
+        groups[g].append(c)
+    zeros, ones = groups
+    if summary is None:
+        return tuple(zeros + ones), None
+    boundary = 1 << (len(zeros) - 1) if zeros and ones else 0
+    return tuple(zeros + ones), masks[0] | boundary | masks[1] << len(zeros)
 
 
 def _summary_holds(pred: Kind, deck: tuple, summary) -> bool:
@@ -372,9 +367,8 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     validate_predicate_kind(predicate, n, chain)
     _require_path_budget(chain, n, t)
     branches, denom = chain_branches(chain, n)
-    summary = 0 if chain == "riffle" else ()
     # (deck, summary, held at some earlier step) -> number of paths
-    states = {(identity_deck(n), summary, False): 1}
+    states = {(identity_deck(n), _start_summary(chain, predicate), False): 1}
     stable = True
     for step in range(t + 1):
         nxt: dict = {}
@@ -388,25 +382,19 @@ def check_strong_stationarity(chain: str, n: int, t: int,
                 continue
             seen = seen or holds
             for move, m in branches:
-                new_deck = _step(chain, deck, move)
-                key = (new_deck, _advance_summary(chain, deck, summary, move, new_deck), seen)
+                key = (*_advance(chain, deck, summary, move), seen)
                 nxt[key] = nxt.get(key, 0) + count * m
         states = nxt
     total = sum(states.values())
     if total != denom ** t:
         raise InvariantError(f"lumped counts sum to {total}, not {denom}^{t}")
-    hits = 0
-    tally: dict = {}
-    for (deck, holds), count in states.items():
-        if holds:
-            hits += count
-            v = evaluate_statistic(statistic, deck)
-            tally[v] = tally.get(v, 0) + count
+    tally = statistic_tally(
+        statistic, ((deck, count) for (deck, holds), count in states.items() if holds))
+    hits = sum(tally.values())
     if hits == 0:
         raise ValueError("predicate never satisfied")
     q = Fraction(hits, denom ** t)
-    values = sorted(tally, key=_canon_key)
-    conditional = Distribution(tuple(values), tuple(Fraction(tally[v], hits) for v in values))
+    conditional = law_from_tally(tally, hits)
     target = stationary_statistic_distribution(n, statistic)
     cond_map = conditional.as_mapping()
     target_map = target.as_mapping()
@@ -455,17 +443,14 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
         nxt: dict = {}
         for deck, count in counts.items():
             for move, m in branches:
-                new_deck = _step(chain, deck, move)
+                new_deck = _advance(chain, deck, None, move)[0]
                 nxt[new_deck] = nxt.get(new_deck, 0) + count * m
         counts = nxt
     total = denom ** t
     reached = sum(counts.values())
     if reached != total:
         raise InvariantError(f"deck counts sum to {reached}, not {denom}^{t}")
-    tally: dict = {}
-    for deck, count in counts.items():
-        v = evaluate_statistic(statistic, deck)
-        tally[v] = tally.get(v, 0) + count
+    tally = statistic_tally(statistic, counts.items())
     return Distribution(stationary.support,
                         tuple(Fraction(tally.get(v, 0), total) for v in stationary.support))
 
@@ -593,28 +578,27 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
         raise ValueError("samples must be positive")
     # the riffle's 2^n columns are drawn bit by bit, never listed
     to_tops = None if chain == "riffle" else chain_branches(chain, n)[0]
-    start = identity_deck(n)
+    start = identity_deck(n), _start_summary(chain, predicate)
     rng = random.Random(seed)
-    satisfied = 0
-    tally: dict = {}
-    for _ in range(samples):
-        deck, summary = start, 0 if chain == "riffle" else ()
-        for _ in range(t):
-            # these draws, in this order, fix every seeded payload
-            if chain == "riffle":
-                move = tuple(rng.choice("01") for _ in range(n))
-            elif chain == "walk1" and rng.random() < 0.5:
-                move = TOP_TO_BOTTOM
-            else:
-                # the to-top moves come first, card c at index c - 1
-                move = to_tops[rng.randrange(n)][0]
-            new_deck = _step(chain, deck, move)
-            summary = _advance_summary(chain, deck, summary, move, new_deck)
-            deck = new_deck
-        if _summary_holds(predicate, deck, summary):
-            satisfied += 1
-            v = evaluate_statistic(statistic, deck)
-            tally[v] = tally.get(v, 0) + 1
+
+    def satisfying():
+        for _ in range(samples):
+            deck, summary = start
+            for _ in range(t):
+                # these draws, in this order, fix every seeded payload
+                if chain == "riffle":
+                    move = tuple(rng.choice("01") for _ in range(n))
+                elif chain == "walk1" and rng.random() < 0.5:
+                    move = TOP_TO_BOTTOM
+                else:
+                    # the to-top moves come first, card c at index c - 1
+                    move = to_tops[rng.randrange(n)][0]
+                deck, summary = _advance(chain, deck, summary, move)
+            if _summary_holds(predicate, deck, summary):
+                yield deck, 1
+
+    tally = statistic_tally(statistic, satisfying())
+    satisfied = sum(tally.values())
     freq = {v: tally[v] / satisfied for v in sorted(tally, key=_canon_key)} if satisfied else {}
     return MonteCarloReport(
         chain=chain,

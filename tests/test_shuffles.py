@@ -193,6 +193,7 @@ class TestStatistics:
             "block_sets:3",       # 3 does not divide 4
             "modular_hands:3",
             "relative_order:1",
+            "relative_order:2",
             "card_above:5",
         ):
             with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ derivation, or by a second enumeration route inside the test itself.
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+from mixscope import verify
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
 from mixscope.shuffles import (
@@ -368,6 +369,40 @@ class TestLumpedMatchesPaths:
             assert "chosen_more_recently_than" in unstable
 
 
+class TestOracleIndependence:
+    """The path oracle shares no deck step with the lumped routes."""
+
+    @pytest.mark.parametrize("chain", ["rtt", "walk1", "riffle"])
+    def test_oracle_runs_without_the_lumped_step(self, monkeypatch, chain):
+        def refuse(*args):
+            raise AssertionError("the oracle called verify._advance")
+
+        monkeypatch.setattr(verify, "_advance", refuse)
+        pred = parse_predicate("always", 3, chain)
+        paths = list(enumerate_paths(chain, 3, 2))
+        assert all(path.decks[0] == (1, 2, 3) for path in paths)
+        q, cond = conditional_statistic_distribution(paths, pred, parse_statistic("top_card", 3), 2)
+        assert q == 1 and sum(cond.weights) == 1
+
+    def test_riffle_step_matches_sort_keys(self):
+        """_advance on every deck of S_4, every split mask and every column
+        against inverse_riffle_apply, and its mask against the one recomputed
+        from the sort keys."""
+        n = 4
+        for deck in permutations(range(1, n + 1)):
+            for mask in range(2 ** (n - 1)):
+                # key class of each card: the set bits above its position
+                key = {c: bin(mask & ((1 << i) - 1)).count("1") for i, c in enumerate(deck)}
+                for column in product("01", repeat=n):
+                    new_deck, new_mask = verify._advance("riffle", deck, mask, column)
+                    assert new_deck == inverse_riffle_apply(deck, column)
+                    new_key = {c: (column[c - 1], key[c]) for c in deck}
+                    expected = sum(1 << i for i in range(n - 1)
+                                   if new_key[new_deck[i]] != new_key[new_deck[i + 1]])
+                    assert new_mask == expected, (deck, mask, column)
+                    assert verify._advance("riffle", deck, None, column) == (new_deck, None)
+
+
 class TestAlwaysPredicateRoute:
     @pytest.mark.parametrize("chain,n,t", [("rtt", 3, 3), ("walk1", 3, 2), ("riffle", 3, 2)])
     def test_always_equals_kernel_route(self, chain, n, t):
@@ -478,6 +513,7 @@ def test_statistic_validated_at_every_entry(stat):
         lambda: deck_statistic(4, stat),
         lambda: check_strong_stationarity("rtt", 4, 2, always, stat),
         lambda: monte_carlo_conditional("rtt", 4, 2, always, stat, samples=10, seed=0),
+        lambda: conditional_statistic_distribution(enumerate_paths("rtt", 3, 1), always, stat, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="needs one"):
@@ -494,10 +530,13 @@ class TestPredicateValidation:
             parse_predicate("k_distinct:2", 4, "riffle")
 
     def test_parameter_ranges(self):
-        for text in ("k_distinct:0", "k_distinct:5", "card_chosen:9",
-                     "chosen_more_recently_than:1,4", "always:1"):
+        for text, chain in (("k_distinct:0", "rtt"), ("k_distinct:5", "rtt"),
+                            ("card_chosen:9", "rtt"), ("chosen_more_recently_than:1,4", "rtt"),
+                            ("always:1", "rtt"), ("any_of_chosen:1,1", "walk1"),
+                            ("riffle_blocks_nonoverlapping:3", "riffle")):
             with pytest.raises(ValueError):
-                parse_predicate(text, 4, "rtt")
+                parse_predicate(text, 4, chain)
+        assert parse_predicate("chosen_more_recently_than:1,3", 4, "rtt").params == (1, 3)
 
     def test_parser_error_messages(self):
         for text, message in (("nope", "unknown predicate 'nope'"),
