@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 from .budget import CapacityError, enumeration_budget
 from .dist import (
     Distribution,
+    InvariantError,
     Kernel,
     distribution_from_json,
     distribution_to_json,
@@ -43,7 +44,6 @@ from .shuffles import (
     walk1_kernel,
 )
 from .verify import (
-    InvariantError,
     MonteCarloReport,
     Path,
     SSTReport,

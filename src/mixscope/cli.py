@@ -42,6 +42,7 @@ from .cycle import (
 )
 from .dist import (
     Distribution,
+    InvariantError,
     _int_to_str,
     distribution_to_json,
     format_rational,
@@ -52,7 +53,6 @@ from .dist import (
 from .shuffles import parse_statistic, stationary_statistic_distribution
 from .verify import (
     CHAINS,
-    InvariantError,
     check_strong_stationarity,
     count_nonnegative_paths,
     monte_carlo_conditional,

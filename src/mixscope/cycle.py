@@ -32,6 +32,14 @@ at most 2k-1 vertices apart), so the coverage tail is pointwise at most the
 distance tail.  Whether exact color separation is bounded by the coverage
 tail is checked, not assumed; see scripts/sweep_cycle_bounds.py for the
 systematic comparison.
+
+Each tail counts integer paths over 4^t on the smallest state space that
+is still exact.  The distance walk is killed the first time it sits
+2(2k-1) half-units from its start, so its position alone is the state: one
+strip of counts.  Coverage and vertex count depend on the whole visited
+window [l, r], so their engine, _halfstep_tail, keeps counts per window.
+Every tail is charged to the budget before it starts: its states x 2
+moves x 2 * horizon half-steps.
 """
 
 from __future__ import annotations
@@ -194,6 +202,13 @@ def exact_color_separation(coloring: tuple, x0: int, t: int) -> Fraction:
     return separation_profile(coloring, x0, t)[t]
 
 
+def _check_start(size: int, x0: int, horizon: int) -> None:
+    if not 0 <= x0 < size:
+        raise ValueError(f"x0 must be a vertex in 0..{size - 1}")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+
+
 def _red_counts(coloring: tuple, x0: int, horizon: int) -> list:
     """Red mass of the lazy walk from x0 at t = 0..horizon, as integers over 4^t.
 
@@ -201,10 +216,7 @@ def _red_counts(coloring: tuple, x0: int, horizon: int) -> list:
     to the budget as vertices x 3 moves x steps.
     """
     size = len(coloring)
-    if not 0 <= x0 < size:
-        raise ValueError(f"x0 must be a vertex in 0..{size - 1}")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_start(size, x0, horizon)
     if size < 3:
         raise ValueError("cycle needs at least 3 vertices")
     require_within_budget(size * 3 * horizon, f"lazy walk on {size} vertices to t={horizon}",
@@ -254,36 +266,59 @@ def _decomposition_members(coloring: tuple, sets) -> list:
     return out
 
 
-def _halfstep_tail(coloring, x0, horizon, absorbed):
-    """Shared engine for the stopping-time tails.
+def _halfstep(counts: list) -> list:
+    """One half-step on a strip of positions: c'(x) = c(x-1) + c(x+1), with
+    the mass that steps past either end dropped."""
+    padded = [0, *counts, 0]
+    return [a + b for a, b in zip(padded, padded[2:])]
+
+
+def _halfstep_tail(coloring, x0, horizon, absorbed, name):
+    """Windowed engine for the coverage and vertex-count tails.
 
     Runs the refined half-step walk with integer path counting and drops
     mass the moment `absorbed(l, r)` holds for the visited window [l, r]
-    (half-units relative to the start).  Returns Pr(T > t) for lazy times
-    t = 0..horizon, reading the alive mass after 2t half-steps.
+    (half-units relative to the start).  Counts are kept per window, indexed
+    by x - l; only x = l and x = r can open a wider window.  The alive
+    windows reachable in 2 * horizon half-steps are listed once first,
+    outward from (0, 0), and charged as their states x 2 moves x 2 * horizon
+    half-steps.  Returns Pr(T > t) for lazy times t = 0..horizon, reading
+    the alive mass after 2t half-steps.
     """
     validate_coloring(coloring)
     size = len(coloring)
-    if not 0 <= x0 < size:
-        raise ValueError(f"x0 must be a vertex in 0..{size - 1}")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if absorbed(0, 0):
+    _check_start(size, x0, horizon)
+    # alive window -> its (left, right) wider windows, None where absorbed
+    opens = {}
+    level = set() if absorbed(0, 0) else {(0, 0)}
+    width = 0
+    while level:
+        wider = set()
+        if width < 2 * horizon:
+            wider = {w for l, r in level for w in ((l - 1, r), (l, r + 1))}
+            wider = {w for w in wider if not absorbed(*w)}
+        for l, r in level:
+            opens[l, r] = tuple(w if w in wider else None for w in ((l - 1, r), (l, r + 1)))
+        level, width = wider, width + 1
+    states = sum(r - l + 1 for l, r in opens)
+    require_within_budget(states * 2 * 2 * horizon,
+                          f"{name} tail on {size} vertices to t={horizon}",
+                          "use a shorter horizon")
+    if not opens:
         return [Fraction(0)] * (horizon + 1)
-    alive = {(0, 0, 0): 1}
+    alive = {(0, 0): [1]}
     tails = [Fraction(1)]
     for t in range(1, horizon + 1):
         for _ in range(2):
-            nxt: dict = {}
-            for (l, r, x), count in alive.items():
-                for x2 in (x - 1, x + 1):
-                    l2, r2 = min(l, x2), max(r, x2)
-                    if absorbed(l2, r2):
-                        continue
-                    key = (l2, r2, x2)
-                    nxt[key] = nxt.get(key, 0) + count
+            nxt = {window: _halfstep(counts) for window, counts in alive.items()}
+            for window, counts in alive.items():
+                left, right = opens[window]
+                if left is not None and counts[0]:
+                    nxt.setdefault(left, [0] * (len(counts) + 1))[0] += counts[0]
+                if right is not None and counts[-1]:
+                    nxt.setdefault(right, [0] * (len(counts) + 1))[-1] += counts[-1]
             alive = nxt
-        tails.append(Fraction(sum(alive.values()), 4 ** t))
+        tails.append(Fraction(sum(map(sum, alive.values())), 4 ** t))
     return tails
 
 
@@ -299,26 +334,22 @@ def coverage_time_tail(coloring: tuple, x0: int, horizon: int, sets=None):
     half_size = 2 * size
     h0 = 2 * x0
     midpoint_sets = [set(midpoints(AlternatingSet(m), size)) for m in members]
-    cache: dict = {}
 
     def absorbed(l, r):
-        key = (l, r)
-        hit = cache.get(key)
-        if hit is None:
-            if r - l + 1 >= half_size:
-                hit = True
-            else:
-                window = {(h0 + i) % half_size for i in range(l, r + 1)}
-                hit = all(ms & window for ms in midpoint_sets)
-            cache[key] = hit
-        return hit
+        if r - l + 1 >= half_size:
+            return True
+        window = {(h0 + i) % half_size for i in range(l, r + 1)}
+        return all(ms & window for ms in midpoint_sets)
 
-    return _halfstep_tail(coloring, x0, horizon, absorbed)
+    return _halfstep_tail(coloring, x0, horizon, absorbed, "coverage")
 
 
 def vertex_count_tail(coloring: tuple, x0: int, horizon: int):
     """Pr(T > t) for T = first refined time 2k-1 distinct vertices have been
-    visited.  Reported for comparison; never used as a certificate."""
+    visited.  Reported for comparison; never used as a certificate.
+
+    Absorption depends on the parity of l as well as on r - l, so the
+    windows stay absolute."""
     size = len(coloring)
     k = compute_k(coloring)
     need = 2 * k - 1
@@ -330,20 +361,34 @@ def vertex_count_tail(coloring: tuple, x0: int, horizon: int):
         seen = r // 2 - (l + 1) // 2 + 1
         return seen >= need
 
-    return _halfstep_tail(coloring, x0, horizon, absorbed)
+    return _halfstep_tail(coloring, x0, horizon, absorbed, "vertex-count")
 
 
 def distance_moved_tail(coloring: tuple, x0: int, horizon: int):
     """Pr(T > t) for T = first refined time the walk sits 2k-1 vertices from
     its start.  Reaching that distance forces midpoint coverage of every
-    set, so this tail pointwise dominates coverage_time_tail."""
+    set, so this tail pointwise dominates coverage_time_tail.
+
+    The walk is killed the first time it sits need = 2(2k-1) half-units
+    from its start (gambler's ruin on a strip), so its position alone is
+    the state: one list of 2 * need - 1 counts over the positions strictly
+    inside, swept two half-steps per lazy step.  Charged to the budget as
+    those positions x 2 moves x 2 * horizon half-steps.
+    """
     k = compute_k(coloring)
+    size = len(coloring)
+    _check_start(size, x0, horizon)
     need = 2 * (2 * k - 1)
-
-    def absorbed(l, r):
-        return r >= need or -l >= need
-
-    return _halfstep_tail(coloring, x0, horizon, absorbed)
+    require_within_budget((2 * need - 1) * 2 * 2 * horizon,
+                          f"distance-moved tail on {size} vertices to t={horizon}",
+                          "use a shorter horizon")
+    counts = [0] * (2 * need - 1)
+    counts[need - 1] = 1
+    tails = [Fraction(1)]
+    for t in range(1, horizon + 1):
+        counts = _halfstep(_halfstep(counts))
+        tails.append(Fraction(sum(counts), 4 ** t))
+    return tails
 
 
 def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):

@@ -18,8 +18,10 @@ start is scaled to integers over the lcm d0 of its denominators, each step
 multiplies by integer multiplicities over D, and the one division, by
 d0 * D^t, happens when the result is built.  push_forward maps a
 distribution through a statistic.  law_from_tally builds every law that
-comes from a tally of values, in the one canonical value order.  All are
-pure and deterministic, so results are reproducible bit for bit.
+comes from a tally of values, in the one canonical value order, and raises
+InvariantError (a program bug, exit code 4) when the tally misses the
+total it was built against.  All are pure and deterministic, so results
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
+
+
+class InvariantError(RuntimeError):
+    """An exact computation broke one of its own invariants (a program bug)."""
 
 
 def _canon_key(value):
@@ -180,7 +186,11 @@ def push_forward(mu: Distribution, f) -> Distribution:
 
 def law_from_tally(tally: Mapping, total) -> Distribution:
     """The law giving each tallied value weight tally[value] / total, over
-    the tallied values in canonical order; total is the tallies' sum."""
+    the tallied values in canonical order.  total must be the tallies' sum;
+    mixscope builds every tally itself, so a mismatch is an InvariantError."""
+    mass = sum(tally.values())
+    if mass != total:
+        raise InvariantError(f"tally sums to {mass}, not {total}")
     values = sorted(tally, key=_canon_key)
     return Distribution(tuple(values), tuple(Fraction(tally[v], total) for v in values))
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from .budget import require_within_budget
-from .dist import Distribution, Kernel, evolve, law_from_tally, _canon_key
+from .dist import Distribution, InvariantError, Kernel, evolve, law_from_tally, _canon_key
 from .shuffles import (
     Kind,
     _require_dense,
@@ -76,10 +76,6 @@ RIFFLE_PREDICATES = {
     "riffle_blocks_nonoverlapping": "divisor",
 }
 PREDICATE_KINDS = {"always": "none", **CHOICE_PREDICATES, **RIFFLE_PREDICATES}
-
-
-class InvariantError(RuntimeError):
-    """An exact computation broke one of its own invariants (a program bug)."""
 
 
 def validate_predicate_kind(pred: Kind, n: int, chain: str) -> None:

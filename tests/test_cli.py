@@ -464,6 +464,53 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err.splitlines()[0])["error"]["code"] == "capacity"
 
+    # RRBRBB from 0 to t=5 (k = 2; 2 moves x 10 half-steps per state).  The
+    # distance strip holds 4(2k-1) - 1 = 11 positions.  Coverage keeps the
+    # windows [0, r], r <= 4, 15 states: one half-step left reaches the
+    # midpoint 11 both sets share, and r = 5 the shared midpoint 5.  Vertex
+    # count keeps the 12 windows that show at most 2 vertices, 40 states.
+    TAIL_CHARGES = [("distance_moved_tail", "distance-moved", 11 * 2 * 10),
+                    ("coverage_time_tail", "coverage", 15 * 2 * 10),
+                    ("vertex_count_tail", "vertex-count", 40 * 2 * 10)]
+
+    @pytest.mark.parametrize("tail,name,charge", TAIL_CHARGES)
+    def test_cycle_tail_charge(self, capsys, monkeypatch, tail, name, charge):
+        """The other two tails are stubbed, so this one's charge is the
+        largest of the run (the color sweep charges 6 x 3 x 5)."""
+        for other, _, _ in self.TAIL_CHARGES:
+            if other != tail:
+                monkeypatch.setattr(cli, other,
+                                    lambda coloring, x0, horizon, sets=None: [F(1)] * (horizon + 1))
+        argv = ("cycle", "--coloring", "RRBRBB", "--x0", "0", "--horizon", "5")
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(charge))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(charge - 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "capacity"
+        assert f"{name} tail on 6 vertices to t=5 needs {charge} " in error["message"]
+
+    def test_lossy_tally_is_internal(self, capsys, monkeypatch):
+        """A law tally that misses its total mass exits 4, not usage."""
+        real = shuffles.statistic_tally
+
+        def lossy(kind, weighted_decks):
+            tally = real(kind, weighted_decks)
+            del tally[next(iter(tally))]
+            return tally
+
+        monkeypatch.setattr(shuffles, "statistic_tally", lossy)
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "3",
+                                 "--t", "1", "--statistic", "top_card")
+        assert code == 4
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "internal"
+        assert "not 6" in error["message"]
+
     def test_broken_invariant_in_stat_mix_is_internal(self, capsys, monkeypatch):
         """Deck counts that miss the total mass exit 4, not usage."""
         real = verify.chain_branches

@@ -4,12 +4,15 @@ evolve, the cycle's one-sweep color law and the tracked-card chain all
 count with integers and divide once at the end.  Each is compared here
 with the most direct reference there is: a step loop that multiplies
 Fraction weights by the kernel's Fraction rows.  The sparse deck count
-behind stat-mix is compared with evolve on the dense deck kernels.
+behind stat-mix is compared with evolve on the dense deck kernels.  The
+cycle's three stopping-time tails are compared with a plain engine that
+counts every (left, right, position) state on its own.
 """
 
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from conftest import statistic_cases
@@ -18,12 +21,20 @@ import mixscope
 from mixscope import cli, shuffles, verify
 from mixscope.cli import main
 from mixscope.cycle import (
+    AlternatingSet,
+    alternating_decomposition,
     check_red_dominance,
     color_statistic,
+    compute_k,
+    coverage_time_tail,
+    distance_moved_tail,
     fair_coloring_target,
     lazy_cycle_kernel,
+    midpoints,
     parse_coloring,
     separation_profile,
+    validate_coloring,
+    vertex_count_tail,
 )
 from mixscope.dist import Distribution, evolve, push_forward, separation_distance
 from mixscope.shuffles import (
@@ -119,6 +130,104 @@ class TestCycleSweepMatchesReference:
             assert rep.min_margin == min(margins)
             assert rep.argmin_t == margins.index(min(margins))
             assert rep.dominance_holds == (min(margins) >= 0)
+
+
+def _halfstep_tail(coloring, x0, horizon, absorbed):
+    """Shared engine for the stopping-time tails.
+
+    Runs the refined half-step walk with integer path counting and drops
+    mass the moment `absorbed(l, r)` holds for the visited window [l, r]
+    (half-units relative to the start).  Returns Pr(T > t) for lazy times
+    t = 0..horizon, reading the alive mass after 2t half-steps.
+    """
+    validate_coloring(coloring)
+    size = len(coloring)
+    if not 0 <= x0 < size:
+        raise ValueError(f"x0 must be a vertex in 0..{size - 1}")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if absorbed(0, 0):
+        return [F(0)] * (horizon + 1)
+    alive = {(0, 0, 0): 1}
+    tails = [F(1)]
+    for t in range(1, horizon + 1):
+        for _ in range(2):
+            nxt: dict = {}
+            for (l, r, x), count in alive.items():
+                for x2 in (x - 1, x + 1):
+                    l2, r2 = min(l, x2), max(r, x2)
+                    if absorbed(l2, r2):
+                        continue
+                    key = (l2, r2, x2)
+                    nxt[key] = nxt.get(key, 0) + count
+            alive = nxt
+        tails.append(F(sum(alive.values()), 4 ** t))
+    return tails
+
+
+def reference_tails(coloring, x0, horizon, sets=None):
+    """(coverage, vertex count, distance moved) tails on the (l, r, x)
+    engine, each with its absorption rule written out on absolute windows."""
+    size = len(coloring)
+    half_size = 2 * size
+    need = 2 * compute_k(coloring) - 1
+    if sets is None:
+        sets = [a.members for a in alternating_decomposition(coloring)]
+    midpoint_sets = [set(midpoints(AlternatingSet(m), size)) for m in sets]
+
+    def covered(l, r):
+        if r - l + 1 >= half_size:
+            return True
+        window = {(2 * x0 + i) % half_size for i in range(l, r + 1)}
+        return all(ms & window for ms in midpoint_sets)
+
+    def counted(l, r):
+        if r - l + 1 >= 2 * size:
+            return size >= need
+        return r // 2 - (l + 1) // 2 + 1 >= need
+
+    def moved(l, r):
+        return r >= 2 * need or -l >= 2 * need
+
+    return tuple(_halfstep_tail(coloring, x0, horizon, rule) for rule in (covered, counted, moved))
+
+
+class TestTailsMatchStateEngine:
+    """Each tail walks a reduced state space: the distance tail a strip of
+    positions, coverage and vertex count positions grouped by window.
+    Both must give the (l, r, x) engine's Fractions exactly."""
+
+    @pytest.mark.parametrize("size,starts,horizon",
+                             [(4, (0, 1), 12), (6, (0, 1), 12), (8, (0, 1), 12), (10, (0,), 8)])
+    def test_every_balanced_coloring(self, size, starts, horizon):
+        for reds in combinations(range(size), size // 2):
+            coloring = tuple("R" if v in reds else "B" for v in range(size))
+            for x0 in starts:
+                expected = reference_tails(coloring, x0, horizon)
+                got = (coverage_time_tail(coloring, x0, horizon),
+                       vertex_count_tail(coloring, x0, horizon),
+                       distance_moved_tail(coloring, x0, horizon))
+                assert got == expected, ("".join(coloring), x0)
+
+    @pytest.mark.parametrize("marks", ["RRRRRRBBBBBB", "RRBRBBRRBRBB"])
+    def test_short_horizons(self, marks):
+        """Horizons too short to reach every absorbing window, so the
+        windowed engine lists windows only up to width 2 * horizon."""
+        coloring = parse_coloring(marks)
+        for horizon in range(5):
+            for x0 in range(len(coloring)):
+                got = (coverage_time_tail(coloring, x0, horizon),
+                       vertex_count_tail(coloring, x0, horizon),
+                       distance_moved_tail(coloring, x0, horizon))
+                assert got == reference_tails(coloring, x0, horizon), (x0, horizon)
+
+    def test_pair_partition(self):
+        pairs = [(0, 2), (1, 5), (3, 4), (6, 8), (7, 11), (9, 10)]
+        for x0 in (0, 3):
+            cov, vtx, dst = reference_tails(MOD6, x0, 60, sets=pairs)
+            assert coverage_time_tail(MOD6, x0, 60, sets=pairs) == cov
+            assert vertex_count_tail(MOD6, x0, 60) == vtx
+            assert distance_moved_tail(MOD6, x0, 60) == dst
 
 
 class TestTrackedCardMatchesDenseDeck:

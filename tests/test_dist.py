@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from mixscope.dist import (
     Distribution,
+    InvariantError,
     Kernel,
     distribution_from_json,
     distribution_to_json,
     evolve,
     format_rational,
+    law_from_tally,
     parse_rational,
     push_forward,
     separation_distance,
@@ -42,6 +44,13 @@ class TestConstruction:
     def test_exact_requires_unit_mass(self):
         with pytest.raises(ValueError):
             Distribution.exact([("a", F(1, 2)), ("b", F(1, 3))])
+
+    def test_lossy_tally_is_an_invariant_break(self):
+        """A law mixscope tallies itself must carry the whole mass; a user's
+        Distribution that misses it stays a ValueError (above)."""
+        assert law_from_tally({"b": 1, "a": 2}, 3).as_mapping() == {"a": F(2, 3), "b": F(1, 3)}
+        with pytest.raises(InvariantError, match="tally sums to 3, not 4"):
+            law_from_tally({"b": 1, "a": 2}, 4)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["run_acceptance_cli.py", "walk1_exactness_probe.py"])
+@pytest.mark.parametrize("script", ["run_acceptance_cli.py", "walk1_exactness_probe.py",
+                                    "sweep_cycle_bounds.py"])
 def test_script_exits_zero(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], env=env,
