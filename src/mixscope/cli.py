@@ -50,9 +50,8 @@ from .dist import (
     state_to_json,
     total_variation,
 )
-from .shuffles import parse_statistic, stationary_statistic_distribution
+from .shuffles import CHAINS, parse_statistic, stationary_statistic_distribution
 from .verify import (
-    CHAINS,
     check_strong_stationarity,
     count_nonnegative_paths,
     monte_carlo_conditional,
@@ -182,8 +181,6 @@ def render_csv(report: Report, use_float: bool) -> str:
 # Subcommand runners
 
 def _run_stat_mix(cfg: ExperimentConfig) -> dict:
-    if cfg.chain not in CHAINS:
-        raise UsageError(f"--chain must be one of {', '.join(CHAINS)}")
     statistic = parse_statistic(cfg.statistic, cfg.n)
     stationary = stationary_statistic_distribution(cfg.n, statistic)
     if cfg.mode == "exact":
@@ -208,8 +205,6 @@ def _run_stat_mix(cfg: ExperimentConfig) -> dict:
 
 
 def _run_sst_check(cfg: ExperimentConfig) -> dict:
-    if cfg.chain not in CHAINS:
-        raise UsageError(f"--chain must be one of {', '.join(CHAINS)}")
     statistic = parse_statistic(cfg.statistic, cfg.n)
     predicate = parse_predicate(cfg.predicate, cfg.n, cfg.chain)
     if cfg.mode == "exact":
@@ -263,11 +258,12 @@ def _run_cycle(cfg: ExperimentConfig) -> dict:
         except ValueError:
             raise UsageError(f"bad --chebyshev value {cfg.chebyshev!r}")
     t_stars = [math.ceil(chebyshev_time(k, c)) for c in cs]
-    profile = separation_profile(coloring, cfg.x0, max([horizon, *t_stars]))
-    seps = profile[:horizon + 1]
+    # the tails charge the budget up front, so one they refuse costs no sweep
     cov = coverage_time_tail(coloring, cfg.x0, horizon, sets=sets)
     vtx = vertex_count_tail(coloring, cfg.x0, horizon)
     dst = distance_moved_tail(coloring, cfg.x0, horizon)
+    profile = separation_profile(coloring, cfg.x0, max([horizon, *t_stars]))
+    seps = profile[:horizon + 1]
     bound_ok = [s <= c for s, c in zip(seps, cov)]
     first_bad = next((t for t, ok in enumerate(bound_ok) if not ok), None)
     dom = check_red_dominance(coloring, cfg.x0, horizon, sets=sets)
@@ -399,6 +395,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise UsageError(f"--{name} must be nonnegative")
     if cfg.n is not None and cfg.n < 2 and cfg.kind in ("stat-mix", "sst-check"):
         raise UsageError("--n must be at least 2")
+    if cfg.chain is not None and cfg.chain not in CHAINS:
+        raise UsageError(f"--chain must be one of {', '.join(CHAINS)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,10 +11,11 @@ Three chains are provided:
                   and stably sorts, zeros above ones; t steps assign t-bit
                   strings per card.
 
-All three fix the uniform distribution on the symmetric group.  Explicit
-kernels over Lehmer ranks are built for 2 <= n <= 8 (8! = 40320 states)
-by one row loop over a chain's weighted moves, each charged to the budget
-as n! rows x one step's branches.
+All three fix the uniform distribution on the symmetric group.  Each is
+one Chain record in CHAINS, which every per-chain choice here and in
+verify and cli reads.  Explicit kernels over Lehmer ranks are built for 2 <= n <= 8
+(8! = 40320 states) by one row loop over a record's weighted moves, each
+charged to the budget as n! rows x one step's branches.
 No report uses them: the exact law at time t is a forward count over the
 decks reachable from the identity (verify.statistic_law_at), and the
 stationary law of a statistic an integer count over S_n.  The kernels stay
@@ -33,6 +34,7 @@ recorded string.  The composition property test pins this convention.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,42 +128,39 @@ def _require_dense(n: int) -> None:
         )
 
 
-def _dense_kernel(n: int, branches: list, step) -> Kernel:
-    """One step over Lehmer ranks: every (move, probability) of branches
-    applied with step to every deck of S_n."""
+def _dense_kernel(name: str, n: int) -> Kernel:
+    """One step of the named chain over Lehmer ranks: every branch applied
+    with the chain's deck step to every deck of S_n, charged to the budget
+    first as n! rows x one step's branches."""
+    chain = CHAINS[name]
+    _require_dense(n)
+    require_within_budget(_FACT[n] * chain.branch_count(n), f"dense kernel {name} n={n}",
+                          "use a smaller n")
+    moves, denom = chain.branches(n)
     rows = {}
     for r in deck_space(n):
         deck = unrank_deck(n, r)
         row: dict = {}
-        for move, p in branches:
-            tr = rank_deck(step(deck, move))
-            row[tr] = row.get(tr, Fraction(0)) + p
-        rows[r] = tuple(sorted(row.items()))
+        for move, m in moves:
+            tr = rank_deck(chain.step(deck, move))
+            row[tr] = row.get(tr, 0) + m
+        rows[r] = tuple(sorted((tr, Fraction(m, denom)) for tr, m in row.items()))
     return Kernel(deck_space(n), rows)
 
 
 def random_to_top_kernel(n: int) -> Kernel:
     """Each of the n to-top moves with probability 1/n, over Lehmer ranks."""
-    _require_dense(n)
-    require_within_budget(_FACT[n] * n, f"dense kernel rtt n={n}", "use a smaller n")
-    return _dense_kernel(n, [(to_top(c), Fraction(1, n)) for c in range(1, n + 1)], apply_move)
+    return _dense_kernel("rtt", n)
 
 
 def walk1_kernel(n: int) -> Kernel:
     """To-top moves at 1/(2n) each plus top-to-bottom at 1/2."""
-    _require_dense(n)
-    require_within_budget(_FACT[n] * (n + 1), f"dense kernel walk1 n={n}", "use a smaller n")
-    branches = [(to_top(c), Fraction(1, 2 * n)) for c in range(1, n + 1)]
-    return _dense_kernel(n, branches + [(TOP_TO_BOTTOM, Fraction(1, 2))], apply_move)
+    return _dense_kernel("walk1", n)
 
 
 def riffle_kernel(n: int) -> Kernel:
     """One single-bit inverse riffle step: 2^n equally likely bit columns."""
-    _require_dense(n)
-    require_within_budget(_FACT[n] * 2 ** n, f"dense kernel riffle n={n}", "use a smaller n")
-    columns = itertools.product("01", repeat=n)
-    return _dense_kernel(n, [(bits, Fraction(1, 2 ** n)) for bits in columns],
-                         inverse_riffle_apply)
+    return _dense_kernel("riffle", n)
 
 
 # Inverse riffle
@@ -211,6 +210,17 @@ STATISTIC_KINDS = {
     "positions_of": "cards", "parity": "none", "card_above": "card", "card_below": "card",
     "relative_order": "ordered cards", "distance": "pair", "block_sets": "divisor",
     "modular_hands": "divisor",
+}
+
+# predicate kind -> its parameter rule, one map per chain family
+CHOICE_PREDICATES = {
+    "k_distinct": "k", "all_chosen": "none", "card_chosen": "card", "any_of_chosen": "cards",
+    "chosen_more_recently_than": "recency", "any_to_top": "none",
+}
+RIFFLE_PREDICATES = {
+    "riffle_first_j_strings_distinct": "k",
+    "riffle_set_strings_distinct": "cards",
+    "riffle_blocks_nonoverlapping": "divisor",
 }
 
 
@@ -340,3 +350,113 @@ def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
     validate_statistic_kind(kind, n)
     decks = itertools.permutations(range(1, n + 1))
     return law_from_tally(statistic_tally(kind, ((deck, 1) for deck in decks)), _FACT[n])
+
+
+# Chains
+
+@dataclass(frozen=True)
+class Chain:
+    """One shuffle chain, stated once; every per-chain choice reads it."""
+
+    family: str  # how errors name the chains its predicates apply to
+    predicates: dict  # its predicate family: kind -> parameter rule
+    branch_count: Callable  # n -> one step's branch count, in closed form
+    # n -> (moves, D): one step's moves as (move, multiplicity) pairs over a
+    # common denominator D, so a move has probability Fraction(multiplicity, D)
+    branches: Callable
+    step: Callable  # (deck, move) -> deck, for the path oracle and dense kernels
+    advance: Callable  # the lumped step (deck, summary, move) -> (deck, summary)
+    start_summary: object  # the summary of the empty path
+    sampler: Callable  # (n, rng) -> a function drawing one seeded move
+
+
+# The lumped steps of the certification DP, the deck count and the sampler.
+# A None summary (the always predicate tracks none) stays None.  They are
+# written apart from apply_move and inverse_riffle_apply, which the path
+# oracle uses, so that the two routes share no step.
+
+def _choice_advance(deck: tuple, summary, move: Move) -> tuple:
+    """Card-choice chains: the summary is the distinct chosen cards, most
+    recent first."""
+    if move.kind != "to_top":
+        return deck[1:] + deck[:1], summary
+    card = move.card
+    i = deck.index(card)
+    deck = (card,) + deck[:i] + deck[i + 1:]
+    if summary is not None:
+        j = summary.index(card) if card in summary else len(summary)
+        summary = (card,) + summary[:j] + summary[j + 1:]
+    return deck, summary
+
+
+def _riffle_advance(deck: tuple, summary, column: tuple) -> tuple:
+    """Inverse riffle: bit i of the summary is set when positions i and i+1
+    hold different reversed strings (sort keys), so two cards share a key
+    exactly when no set bit lies between them.  The step is a stable
+    partition, zeros above ones, and two cards that end up adjacent share
+    a key when they drew the same bit and shared one before."""
+    groups = ([], [])
+    masks = [0, 0]  # the split bits inside each group, from its top
+    split = [False, False]  # a set bit since the group's last card
+    splits = (summary or 0) << 1
+    for c in deck:
+        if splits & 1:
+            split[0] = split[1] = True
+        splits >>= 1
+        g = column[c - 1] == "1"
+        if split[g] and groups[g]:
+            masks[g] |= 1 << (len(groups[g]) - 1)
+        split[g] = False
+        groups[g].append(c)
+    zeros, ones = groups
+    if summary is None:
+        return tuple(zeros + ones), None
+    boundary = 1 << (len(zeros) - 1) if zeros and ones else 0
+    return tuple(zeros + ones), masks[0] | boundary | masks[1] << len(zeros)
+
+
+def _to_tops(n: int) -> list:
+    """The n to-top moves, card c at index c - 1."""
+    return [to_top(c) for c in range(1, n + 1)]
+
+
+# The seeded draws: these calls, in this order, fix every sampled payload.
+# Each binds its moves and rng methods once, so no move is built per step;
+# the riffle's 2^n columns are drawn bit by bit, never listed.
+
+def _rtt_sampler(n: int, rng) -> Callable:
+    moves, randrange = _to_tops(n), rng.randrange
+    return lambda: moves[randrange(n)]
+
+
+def _walk1_sampler(n: int, rng) -> Callable:
+    moves, randrange, random = _to_tops(n), rng.randrange, rng.random
+    return lambda: TOP_TO_BOTTOM if random() < 0.5 else moves[randrange(n)]
+
+
+def _riffle_sampler(n: int, rng) -> Callable:
+    choice = rng.choice
+    return lambda: tuple([choice("01") for _ in range(n)])
+
+
+class _ChainTable(dict):
+    """A chain name's record; an unknown name is a ValueError."""
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown chain {name!r}; expected one of {tuple(self)}")
+
+
+CHAINS = _ChainTable({
+    # the n to-top moves, 1 each, D = n
+    "rtt": Chain("card-choice chains", CHOICE_PREDICATES, lambda n: n,
+                 lambda n: ([(mv, 1) for mv in _to_tops(n)], n),
+                 apply_move, _choice_advance, (), _rtt_sampler),
+    # the n to-top moves, 1 each, and top-to-bottom with n, D = 2n
+    "walk1": Chain("card-choice chains", CHOICE_PREDICATES, lambda n: n + 1,
+                   lambda n: ([(mv, 1) for mv in _to_tops(n)] + [(TOP_TO_BOTTOM, n)], 2 * n),
+                   apply_move, _choice_advance, (), _walk1_sampler),
+    # the 2^n bit columns, 1 each, D = 2^n
+    "riffle": Chain("the riffle chain", RIFFLE_PREDICATES, lambda n: 2 ** n,
+                    lambda n: ([(col, 1) for col in itertools.product("01", repeat=n)], 2 ** n),
+                    inverse_riffle_apply, _riffle_advance, 0, _riffle_sampler),
+})

@@ -9,7 +9,8 @@ satisfies Pr(f(X_t) = a) >= q * f(pi)(a).
 Everything here is exhaustive and exact.  Certification runs a forward
 dynamic program over lumped states (deck, predicate summary, seen-true
 flag) with integer counts over the chain's common denominator D, dividing
-by D^t once at the end (the lumped-chain construction of Kemeny and Snell).
+by D^t once at the end (the lumped-chain construction of Kemeny and Snell);
+D, the moves and both deck steps come from the chain's shuffles.CHAINS record.
 The summary is all a predicate can depend on: for card-choice chains the
 distinct chosen cards, most recent first; for the inverse riffle a bitmask
 of which adjacent deck positions hold different sort keys; for always,
@@ -25,14 +26,14 @@ its oracle.
 A seeded Monte-Carlo fallback estimates the same quantities but never
 certifies; it steps the DP's lumped (deck, summary) state per sample, so
 an estimate and a certificate read a predicate the same way.  The DP, the
-deck count and the sampler all step with _advance.
+deck count and the sampler all step with the record's advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
-(moves and intermediate decks), decks stepped by apply_move and
-inverse_riffle_apply, never by _advance.  Bookkeeping errors in
-pencil-and-paper path arguments, and in the lumping, are exactly what it
-exists to catch.
+(moves and intermediate decks), decks stepped by the record's step
+(apply_move or inverse_riffle_apply), never by advance.  Bookkeeping
+errors in pencil-and-paper path arguments, and in the lumping, are exactly
+what it exists to catch.
 
 Predicates need not be stable (true-once-true-forever); the report states
 whether the one checked was stable along every path.
@@ -49,43 +50,30 @@ from math import comb, factorial, sqrt
 from .budget import require_within_budget
 from .dist import Distribution, InvariantError, Kernel, evolve, law_from_tally, _canon_key
 from .shuffles import (
+    CHAINS,
+    CHOICE_PREDICATES,
+    RIFFLE_PREDICATES,
     Kind,
     _require_dense,
-    TOP_TO_BOTTOM,
-    apply_move,
     identity_deck,
-    inverse_riffle_apply,
     parse_kind,
     stationary_statistic_distribution,
     statistic_tally,
-    to_top,
     validate_kind,
     validate_statistic_kind,
 )
 
-CHAINS = ("rtt", "walk1", "riffle")
-
 # predicate kind -> its parameter rule (shuffles.PARAMETER_RULES)
-CHOICE_PREDICATES = {
-    "k_distinct": "k", "all_chosen": "none", "card_chosen": "card", "any_of_chosen": "cards",
-    "chosen_more_recently_than": "recency", "any_to_top": "none",
-}
-RIFFLE_PREDICATES = {
-    "riffle_first_j_strings_distinct": "k",
-    "riffle_set_strings_distinct": "cards",
-    "riffle_blocks_nonoverlapping": "divisor",
-}
 PREDICATE_KINDS = {"always": "none", **CHOICE_PREDICATES, **RIFFLE_PREDICATES}
 
 
 def validate_predicate_kind(pred: Kind, n: int, chain: str) -> None:
     """Check the path-event name, its chain family, then its parameter rule
     at deck size n."""
-    k = pred.kind
-    if k in RIFFLE_PREDICATES and chain != "riffle":
-        raise ValueError(f"{k} applies to the riffle chain only")
-    if k in CHOICE_PREDICATES and chain == "riffle":
-        raise ValueError(f"{k} applies to card-choice chains only")
+    family = CHAINS[chain].predicates
+    for other in CHAINS.values():
+        if pred.kind in other.predicates and pred.kind not in family:
+            raise ValueError(f"{pred.kind} applies to {other.family} only")
     validate_kind(pred, PREDICATE_KINDS, n, "predicate")
 
 
@@ -162,13 +150,7 @@ def predicate_holds(pred: Kind, path: Path, upto: int | None = None) -> bool:
 
 
 def path_count(chain: str, n: int, t: int) -> int:
-    if chain == "rtt":
-        return n ** t
-    if chain == "walk1":
-        return (n + 1) ** t
-    if chain == "riffle":
-        return 2 ** (t * n)
-    raise ValueError(f"unknown chain {chain!r}; expected one of {CHAINS}")
+    return CHAINS[chain].branch_count(n) ** t
 
 
 def _require_path_budget(chain: str, n: int, t: int) -> None:
@@ -176,23 +158,6 @@ def _require_path_budget(chain: str, n: int, t: int) -> None:
         raise ValueError("t must be nonnegative")
     require_within_budget(path_count(chain, n, t), f"path enumeration {chain} n={n} t={t}",
                           "use Monte-Carlo mode")
-
-
-def chain_branches(chain: str, n: int) -> tuple:
-    """(branches, D): one step's moves as (move, multiplicity) pairs over a
-    common denominator D, so a move has probability Fraction(multiplicity, D).
-
-    rtt: the n to-top moves, 1 each, D = n.  walk1: the n to-top moves, 1
-    each, and top-to-bottom with n, D = 2n.  riffle: the 2^n bit columns,
-    1 each, D = 2^n.
-    """
-    if chain == "rtt":
-        return [(to_top(c), 1) for c in range(1, n + 1)], n
-    if chain == "walk1":
-        return [(to_top(c), 1) for c in range(1, n + 1)] + [(TOP_TO_BOTTOM, n)], 2 * n
-    if chain == "riffle":
-        return [(col, 1) for col in itertools.product("01", repeat=n)], 2 ** n
-    raise ValueError(f"unknown chain {chain!r}; expected one of {CHAINS}")
 
 
 def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
@@ -203,9 +168,10 @@ def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
     _require_path_budget(chain, n, t)
     if start is None:
         start = identity_deck(n)
-    moves, denom = chain_branches(chain, n)
+    record = CHAINS[chain]
+    moves, denom = record.branches(n)
     branches = [(move, Fraction(m, denom)) for move, m in moves]
-    step = inverse_riffle_apply if chain == "riffle" else apply_move
+    step = record.step
     for combo in itertools.product(branches, repeat=t):
         decks = [start]
         weight = Fraction(1)
@@ -262,55 +228,6 @@ class SSTReport:
     predicate_stable: bool
 
 
-def _start_summary(chain: str, predicate: Kind):
-    """The predicate summary of the empty path; always needs none."""
-    if predicate.kind == "always":
-        return None
-    return 0 if chain == "riffle" else ()
-
-
-def _advance(chain: str, deck: tuple, summary, move) -> tuple:
-    """The lumped state (deck, summary) after one move; a None summary
-    stays None.  Written apart from apply_move and inverse_riffle_apply,
-    which the path oracle uses, so that the two routes share no step.
-
-    Choice chains: the summary is the distinct chosen cards, most recent
-    first.  Riffle: bit i is set when positions i and i+1 hold different
-    reversed strings (sort keys), so two cards share a key exactly when no
-    set bit lies between them.  The step is a stable partition, zeros above
-    ones, and two cards that end up adjacent share a key when they drew the
-    same bit and shared one before.
-    """
-    if chain != "riffle":
-        if move.kind != "to_top":
-            return deck[1:] + deck[:1], summary
-        card = move.card
-        i = deck.index(card)
-        deck = (card,) + deck[:i] + deck[i + 1:]
-        if summary is not None:
-            j = summary.index(card) if card in summary else len(summary)
-            summary = (card,) + summary[:j] + summary[j + 1:]
-        return deck, summary
-    groups = ([], [])
-    masks = [0, 0]  # the split bits inside each group, from its top
-    split = [False, False]  # a set bit since the group's last card
-    splits = (summary or 0) << 1
-    for c in deck:
-        if splits & 1:
-            split[0] = split[1] = True
-        splits >>= 1
-        g = move[c - 1] == "1"
-        if split[g] and groups[g]:
-            masks[g] |= 1 << (len(groups[g]) - 1)
-        split[g] = False
-        groups[g].append(c)
-    zeros, ones = groups
-    if summary is None:
-        return tuple(zeros + ones), None
-    boundary = 1 << (len(zeros) - 1) if zeros and ones else 0
-    return tuple(zeros + ones), masks[0] | boundary | masks[1] << len(zeros)
-
-
 def _summary_holds(pred: Kind, deck: tuple, summary) -> bool:
     """predicate_holds on any path that reaches (deck, summary)."""
     k, ps = pred.kind, pred.params
@@ -362,9 +279,12 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
     _require_path_budget(chain, n, t)
-    branches, denom = chain_branches(chain, n)
+    record = CHAINS[chain]
+    branches, denom = record.branches(n)
+    advance = record.advance
+    start = None if predicate.kind == "always" else record.start_summary
     # (deck, summary, held at some earlier step) -> number of paths
-    states = {(identity_deck(n), _start_summary(chain, predicate), False): 1}
+    states = {(identity_deck(n), start, False): 1}
     stable = True
     for step in range(t + 1):
         nxt: dict = {}
@@ -378,7 +298,7 @@ def check_strong_stationarity(chain: str, n: int, t: int,
                 continue
             seen = seen or holds
             for move, m in branches:
-                key = (*_advance(chain, deck, summary, move), seen)
+                key = (*advance(deck, summary, move), seen)
                 nxt[key] = nxt.get(key, 0) + count * m
         states = nxt
     total = sum(states.values())
@@ -430,16 +350,19 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
     """
     _require_dense(n)
     validate_statistic_kind(statistic, n)
-    # path_count(chain, n, 1) is one step's branch count, and rejects an unknown chain
-    require_within_budget(factorial(n) * path_count(chain, n, 1) * max(t, 1),
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    record = CHAINS[chain]
+    require_within_budget(factorial(n) * record.branch_count(n) * max(t, 1),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
-    branches, denom = chain_branches(chain, n)
+    branches, denom = record.branches(n)
+    advance = record.advance
     counts = {identity_deck(n): 1}
     for _ in range(t):
         nxt: dict = {}
         for deck, count in counts.items():
             for move, m in branches:
-                new_deck = _advance(chain, deck, None, move)[0]
+                new_deck = advance(deck, None, move)[0]
                 nxt[new_deck] = nxt.get(new_deck, 0) + count * m
         counts = nxt
     total = denom ** t
@@ -572,24 +495,15 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
         raise ValueError("t must be nonnegative")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    # the riffle's 2^n columns are drawn bit by bit, never listed
-    to_tops = None if chain == "riffle" else chain_branches(chain, n)[0]
-    start = identity_deck(n), _start_summary(chain, predicate)
-    rng = random.Random(seed)
+    record = CHAINS[chain]
+    advance, draw = record.advance, record.sampler(n, random.Random(seed))
+    start = identity_deck(n), None if predicate.kind == "always" else record.start_summary
 
     def satisfying():
         for _ in range(samples):
             deck, summary = start
             for _ in range(t):
-                # these draws, in this order, fix every seeded payload
-                if chain == "riffle":
-                    move = tuple(rng.choice("01") for _ in range(n))
-                elif chain == "walk1" and rng.random() < 0.5:
-                    move = TOP_TO_BOTTOM
-                else:
-                    # the to-top moves come first, card c at index c - 1
-                    move = to_tops[rng.randrange(n)][0]
-                deck, summary = _advance(chain, deck, summary, move)
+                deck, summary = advance(deck, summary, draw())
             if _summary_holds(predicate, deck, summary):
                 yield deck, 1
 

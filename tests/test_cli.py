@@ -1,6 +1,7 @@
 """End-to-end command-line checks: schemas, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,6 +27,18 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def drop_first_branch(monkeypatch, chain):
+    """Make the chain's listed branches lose their first move, so every
+    count over them misses part of the total mass."""
+    record = shuffles.CHAINS[chain]
+
+    def lossy(n):
+        branches, denom = record.branches(n)
+        return branches[1:], denom
+
+    monkeypatch.setitem(shuffles.CHAINS, chain, dataclasses.replace(record, branches=lossy))
 
 
 def frac(s):
@@ -431,13 +444,7 @@ class TestExitCodes:
 
     def test_broken_invariant_is_internal(self, capsys, monkeypatch):
         """Lumped counts that miss the total mass exit 4, not usage."""
-        real = verify.chain_branches
-
-        def lossy(chain, n):
-            branches, denom = real(chain, n)
-            return branches[1:], denom
-
-        monkeypatch.setattr(verify, "chain_branches", lossy)
+        drop_first_branch(monkeypatch, "rtt")
         code, out, err = run_cli(capsys, "sst-check", "--chain", "rtt", "--n", "3",
                                  "--t", "2", "--statistic", "top_card",
                                  "--predicate", "any_to_top")
@@ -493,6 +500,22 @@ class TestExitCodes:
         assert error["code"] == "capacity"
         assert f"{name} tail on 6 vertices to t=5 needs {charge} " in error["message"]
 
+    def test_refused_tail_runs_no_color_sweep(self, capsys, monkeypatch):
+        """The tails charge before the separation sweep runs, so a refused
+        tail costs no sweep and its error text is unchanged."""
+        def no_sweep(coloring, x0, horizon):
+            raise AssertionError("separation_profile ran before a refused tail")
+
+        monkeypatch.setattr(cli, "separation_profile", no_sweep)
+        monkeypatch.setenv("MIXSCOPE_BUDGET", "299")
+        code, out, err = run_cli(capsys, "cycle", "--coloring", "RRBRBB", "--x0", "0",
+                                 "--horizon", "5")
+        assert code == 3
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "capacity"
+        assert "coverage tail on 6 vertices to t=5 needs 300 " in error["message"]
+
     def test_lossy_tally_is_internal(self, capsys, monkeypatch):
         """A law tally that misses its total mass exits 4, not usage."""
         real = shuffles.statistic_tally
@@ -513,13 +536,7 @@ class TestExitCodes:
 
     def test_broken_invariant_in_stat_mix_is_internal(self, capsys, monkeypatch):
         """Deck counts that miss the total mass exit 4, not usage."""
-        real = verify.chain_branches
-
-        def lossy(chain, n):
-            branches, denom = real(chain, n)
-            return branches[1:], denom
-
-        monkeypatch.setattr(verify, "chain_branches", lossy)
+        drop_first_branch(monkeypatch, "walk1")
         code, out, err = run_cli(capsys, "stat-mix", "--chain", "walk1", "--n", "3",
                                  "--t", "2", "--statistic", "top_card")
         assert code == 4

@@ -5,6 +5,7 @@ either by hand over the full path tree, by a closed form with a separate
 derivation, or by a second enumeration route inside the test itself.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from mixscope import verify
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
 from mixscope.shuffles import (
+    CHAINS,
     TOP_TO_BOTTOM,
     Kind,
     apply_move,
@@ -375,9 +377,10 @@ class TestOracleIndependence:
     @pytest.mark.parametrize("chain", ["rtt", "walk1", "riffle"])
     def test_oracle_runs_without_the_lumped_step(self, monkeypatch, chain):
         def refuse(*args):
-            raise AssertionError("the oracle called verify._advance")
+            raise AssertionError("the oracle called a chain's lumped step")
 
-        monkeypatch.setattr(verify, "_advance", refuse)
+        for name, record in list(CHAINS.items()):
+            monkeypatch.setitem(CHAINS, name, dataclasses.replace(record, advance=refuse))
         pred = parse_predicate("always", 3, chain)
         paths = list(enumerate_paths(chain, 3, 2))
         assert all(path.decks[0] == (1, 2, 3) for path in paths)
@@ -385,22 +388,23 @@ class TestOracleIndependence:
         assert q == 1 and sum(cond.weights) == 1
 
     def test_riffle_step_matches_sort_keys(self):
-        """_advance on every deck of S_4, every split mask and every column
+        """The riffle's lumped step on every deck of S_4, every split mask and every column
         against inverse_riffle_apply, and its mask against the one recomputed
         from the sort keys."""
         n = 4
+        advance = CHAINS["riffle"].advance
         for deck in permutations(range(1, n + 1)):
             for mask in range(2 ** (n - 1)):
                 # key class of each card: the set bits above its position
                 key = {c: bin(mask & ((1 << i) - 1)).count("1") for i, c in enumerate(deck)}
                 for column in product("01", repeat=n):
-                    new_deck, new_mask = verify._advance("riffle", deck, mask, column)
+                    new_deck, new_mask = advance(deck, mask, column)
                     assert new_deck == inverse_riffle_apply(deck, column)
                     new_key = {c: (column[c - 1], key[c]) for c in deck}
                     expected = sum(1 << i for i in range(n - 1)
                                    if new_key[new_deck[i]] != new_key[new_deck[i + 1]])
                     assert new_mask == expected, (deck, mask, column)
-                    assert verify._advance("riffle", deck, None, column) == (new_deck, None)
+                    assert advance(deck, None, column) == (new_deck, None)
 
 
 class TestAlwaysPredicateRoute:
@@ -454,6 +458,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             monte_carlo_conditional("rtt", 3, -1, parse_predicate("always", 3, "rtt"),
                                     parse_statistic("top_card", 3), samples=10, seed=0)
+
+    @pytest.mark.parametrize("chain", ["rtt", "walk1", "riffle"])
+    def test_negative_t_rejected_by_the_deck_count(self, chain):
+        """A usage error, not an InvariantError from the mass check."""
+        stat = parse_statistic("top_card", 3)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            statistic_law_at(chain, 3, -1, stat, stationary_statistic_distribution(3, stat))
 
 
 def replay_path_sampler(chain, n, t, pred, stat, samples, seed):
