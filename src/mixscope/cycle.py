@@ -39,7 +39,9 @@ is still exact.  The distance walk is killed the first time it sits
 strip of counts.  Coverage and vertex count depend on the whole visited
 window [l, r], so their engine, _halfstep_tail, keeps counts per window.
 Every tail is charged to the budget before it starts: its states x 2
-moves x 2 * horizon half-steps.
+moves x 2 * horizon half-steps.  The windowed engine counts its states in
+closed form, without listing the windows, so a refused tail costs almost
+nothing.
 """
 
 from __future__ import annotations
@@ -273,46 +275,65 @@ def _halfstep(counts: list) -> list:
     return [a + b for a, b in zip(padded, padded[2:])]
 
 
+def _alive_states(horizon: int, absorbed) -> int:
+    """States of the alive windows, counted without listing them.
+
+    Both tails' absorption rules are monotone under widening (a window that
+    holds a midpoint of every set, or enough vertices, still does when
+    widened), so the windows the walk can reach in 2 * horizon half-steps
+    without absorption are exactly those with l <= 0 <= r,
+    r - l <= 2 * horizon and not absorbed(l, r).
+    For each left end l their right ends form a prefix [0, R(l)], found by
+    binary search, and the window [l, r] holds r - l + 1 positions.
+    """
+    states = 0
+    for l in range(0, -2 * horizon - 1, -1):
+        if absorbed(l, 0):
+            break
+        lo, hi = 0, 2 * horizon + l  # R(l) lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if absorbed(l, mid):
+                hi = mid - 1
+            else:
+                lo = mid
+        states += (lo + 1) * (1 - l) + lo * (lo + 1) // 2
+    return states
+
+
 def _halfstep_tail(coloring, x0, horizon, absorbed, name):
     """Windowed engine for the coverage and vertex-count tails.
 
     Runs the refined half-step walk with integer path counting and drops
     mass the moment `absorbed(l, r)` holds for the visited window [l, r]
     (half-units relative to the start).  Counts are kept per window, indexed
-    by x - l; only x = l and x = r can open a wider window.  The alive
-    windows reachable in 2 * horizon half-steps are listed once first,
-    outward from (0, 0), and charged as their states x 2 moves x 2 * horizon
+    by x - l; only x = l and x = r can open a wider window.  Charged first,
+    as the alive windows' states (_alive_states) x 2 moves x 2 * horizon
     half-steps.  Returns Pr(T > t) for lazy times t = 0..horizon, reading
     the alive mass after 2t half-steps.
     """
     validate_coloring(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
-    # alive window -> its (left, right) wider windows, None where absorbed
-    opens = {}
-    level = set() if absorbed(0, 0) else {(0, 0)}
-    width = 0
-    while level:
-        wider = set()
-        if width < 2 * horizon:
-            wider = {w for l, r in level for w in ((l - 1, r), (l, r + 1))}
-            wider = {w for w in wider if not absorbed(*w)}
-        for l, r in level:
-            opens[l, r] = tuple(w if w in wider else None for w in ((l - 1, r), (l, r + 1)))
-        level, width = wider, width + 1
-    states = sum(r - l + 1 for l, r in opens)
-    require_within_budget(states * 2 * 2 * horizon,
+    require_within_budget(_alive_states(horizon, absorbed) * 2 * 2 * horizon,
                           f"{name} tail on {size} vertices to t={horizon}",
                           "use a shorter horizon")
-    if not opens:
+    if absorbed(0, 0):
         return [Fraction(0)] * (horizon + 1)
+    # alive window -> its (left, right) wider windows, None where absorbed
+    opens = {}
     alive = {(0, 0): [1]}
     tails = [Fraction(1)]
     for t in range(1, horizon + 1):
         for _ in range(2):
             nxt = {window: _halfstep(counts) for window, counts in alive.items()}
             for window, counts in alive.items():
-                left, right = opens[window]
+                wider = opens.get(window)
+                if wider is None:
+                    l, r = window
+                    wider = opens[window] = tuple(None if absorbed(*w) else w
+                                                  for w in ((l - 1, r), (l, r + 1)))
+                left, right = wider
                 if left is not None and counts[0]:
                     nxt.setdefault(left, [0] * (len(counts) + 1))[0] += counts[0]
                 if right is not None and counts[-1]:
@@ -320,6 +341,34 @@ def _halfstep_tail(coloring, x0, horizon, absorbed, name):
             alive = nxt
         tails.append(Fraction(sum(map(sum, alive.values())), 4 ** t))
     return tails
+
+
+def _coverage_reach(members: list, size: int) -> list:
+    """reach[a]: the least d such that the half-units a..a+d, around the
+    circle of 2 * size, hold a midpoint of every set.  One pass of two
+    pointers over the midpoints, sorted and laid twice around."""
+    half_size = 2 * size
+    marks = sorted((m + lap * half_size, i) for i, ms in enumerate(members)
+                   for m in midpoints(AlternatingSet(ms), size) for lap in (0, 1))
+    held = [0] * len(members)
+    missing = len(members)
+    start = end = 0  # marks[start:end] are held: those in the window [a, marks[end-1]]
+    reach = []
+    for a in range(half_size):
+        while marks[start][0] < a:
+            if start < end:
+                i = marks[start][1]
+                held[i] -= 1
+                missing += not held[i]
+            start += 1
+        end = max(end, start)
+        while missing:
+            i = marks[end][1]
+            missing -= not held[i]
+            held[i] += 1
+            end += 1
+        reach.append(marks[end - 1][0] - a)
+    return reach
 
 
 def coverage_time_tail(coloring: tuple, x0: int, horizon: int, sets=None):
@@ -333,13 +382,10 @@ def coverage_time_tail(coloring: tuple, x0: int, horizon: int, sets=None):
     size = len(coloring)
     half_size = 2 * size
     h0 = 2 * x0
-    midpoint_sets = [set(midpoints(AlternatingSet(m), size)) for m in members]
+    reach = _coverage_reach(members, size)
 
     def absorbed(l, r):
-        if r - l + 1 >= half_size:
-            return True
-        window = {(h0 + i) % half_size for i in range(l, r + 1)}
-        return all(ms & window for ms in midpoint_sets)
+        return r - l + 1 >= half_size or reach[(h0 + l) % half_size] <= r - l
 
     return _halfstep_tail(coloring, x0, horizon, absorbed, "coverage")
 

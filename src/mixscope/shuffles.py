@@ -21,6 +21,12 @@ decks reachable from the identity (verify.statistic_law_at), and the
 stationary law of a statistic an integer count over S_n.  The kernels stay
 as the independent oracle those counts are tested against.
 
+A record's advance steps one lumped (deck, summary) state a move at a
+time; only the certification DP and the deck count use it.  The sampler
+takes whole paths instead: a record draws seeded t-step paths in blocks of
+generator outputs, and its settle gives each path's lumped state in one
+pass.
+
 Each statistic and predicate kind maps to a rule of PARAMETER_RULES,
 checked by validate_kind; statistic_tally is the one loop evaluating a
 statistic over weighted decks.
@@ -34,6 +40,7 @@ recorded string.  The composition property test pins this convention.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -367,13 +374,15 @@ class Chain:
     step: Callable  # (deck, move) -> deck, for the path oracle and dense kernels
     advance: Callable  # the lumped step (deck, summary, move) -> (deck, summary)
     start_summary: object  # the summary of the empty path
-    sampler: Callable  # (n, rng) -> a function drawing one seeded move
+    paths: Callable  # (n, t, rng) -> endless seeded t-step paths, in its encoding
+    settle: Callable  # (n, path) -> the (deck, summary) folding advance reaches
 
 
-# The lumped steps of the certification DP, the deck count and the sampler.
-# A None summary (the always predicate tracks none) stays None.  They are
-# written apart from apply_move and inverse_riffle_apply, which the path
-# oracle uses, so that the two routes share no step.
+# The lumped steps of the certification DP and the deck count.  A None
+# summary (the always predicate tracks none) stays None.  They, and the
+# sampler's settles below, are written apart from apply_move and
+# inverse_riffle_apply, which the path oracle uses, so that the routes
+# share no step.
 
 def _choice_advance(deck: tuple, summary, move: Move) -> tuple:
     """Card-choice chains: the summary is the distinct chosen cards, most
@@ -420,23 +429,108 @@ def _to_tops(n: int) -> list:
     return [to_top(c) for c in range(1, n + 1)]
 
 
-# The seeded draws: these calls, in this order, fix every sampled payload.
-# Each binds its moves and rng methods once, so no move is built per step;
-# the riffle's 2^n columns are drawn bit by bit, never listed.
+# The seeded paths: these draws, in this order, fix every sampled payload.
+# They are the generator outputs random.Random's own calls would take.
+# randrange(n) takes 32-bit outputs w until r = w >> (32 - n.bit_length())
+# falls below n, that is until w < n << (32 - n.bit_length()); choice("01")
+# is randrange(2), which takes w until its top byte is below 128 and gives
+# the bit top_byte >> 6.  One getrandbits(32 * words) call, read as
+# little-endian bytes, holds the next outputs in the order they were made,
+# on any platform.  A path's encoding is the record's own: rtt's chosen
+# cards; walk1's chosen cards, 0 for top-to-bottom; the riffle's t bit
+# columns of n bits each, one byte per bit, earliest step first.
 
-def _rtt_sampler(n: int, rng) -> Callable:
-    moves, randrange = _to_tops(n), rng.randrange
-    return lambda: moves[randrange(n)]
+_BLOCK_WORDS = 512  # generator outputs per getrandbits call, at least
+
+_TOP_BYTE_BIT = bytes(b >> 6 for b in range(256))
+_TOP_BYTE_REJECTED = bytes(range(128, 256))
 
 
-def _walk1_sampler(n: int, rng) -> Callable:
-    moves, randrange, random = _to_tops(n), rng.randrange, rng.random
-    return lambda: TOP_TO_BOTTOM if random() < 0.5 else moves[randrange(n)]
+def _output_blocks(rng, length: int):
+    """The generator's 32-bit outputs as little-endian bytes, a block per
+    getrandbits call.  A block holds at least two outputs per draw of a
+    length-long path, so cutting paths copies each draw a bounded number
+    of times on average."""
+    words = max(_BLOCK_WORDS, 2 * length)
+    while True:
+        yield rng.getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
-def _riffle_sampler(n: int, rng) -> Callable:
-    choice = rng.choice
-    return lambda: tuple([choice("01") for _ in range(n)])
+def _card_blocks(n: int, rng, length: int):
+    """Blocks of the cards rng.randrange(n) + 1 would draw, in order."""
+    shift = 32 - n.bit_length()
+    bound = n << shift
+    for block in _output_blocks(rng, length):
+        words = struct.unpack(f"<{len(block) // 4}I", block)
+        yield [(w >> shift) + 1 for w in words if w < bound]
+
+
+def _bit_blocks(rng, length: int):
+    """Blocks of the bits int(rng.choice("01")) would draw, in order, one
+    byte per bit."""
+    for block in _output_blocks(rng, length):
+        yield block[3::4].translate(_TOP_BYTE_BIT, _TOP_BYTE_REJECTED)
+
+
+def _cut(blocks, length: int, rest):
+    """Endless consecutive length-long paths from the draws the blocks hold,
+    in order, each block cut by one comprehension; rest is the empty path."""
+    if not length:
+        while True:
+            yield rest
+    for block in blocks:
+        draws = rest + block
+        whole = len(draws) - len(draws) % length
+        yield from [draws[i:i + length] for i in range(0, whole, length)]
+        rest = draws[whole:]
+
+
+def _rtt_paths(n: int, t: int, rng):
+    return _cut(_card_blocks(n, rng, t), t, [])
+
+
+def _walk1_paths(n: int, t: int, rng):
+    random, randrange = rng.random, rng.randrange
+    while True:
+        yield [0 if random() < 0.5 else randrange(n) + 1 for _ in range(t)]
+
+
+def _riffle_paths(n: int, t: int, rng):
+    return _cut(_bit_blocks(rng, n * t), n * t, b"")
+
+
+# Each settle gives the (deck, summary) folding the record's advance over
+# a whole path from the identity deck and the start summary reaches.
+
+def _rtt_settle(n: int, cards) -> tuple:
+    """The deck is the recency tuple of the chosen cards, then the unchosen
+    cards in label order; the summary is the recency tuple."""
+    deck = tuple(dict.fromkeys([*reversed(cards), *range(1, n + 1)]))
+    return deck, deck[:len(set(cards))]
+
+
+def _walk1_settle(n: int, path) -> tuple:
+    """The path replayed on a list; the summary is the recency tuple."""
+    deck = list(range(1, n + 1))
+    for card in path:
+        if card:
+            deck.remove(card)
+            deck.insert(0, card)
+        else:
+            deck.append(deck.pop(0))
+    chosen = dict.fromkeys(reversed(path))
+    chosen.pop(0, None)
+    return tuple(deck), tuple(chosen)
+
+
+def _riffle_settle(n: int, bits) -> tuple:
+    """t inverse riffles from the identity sort it stably by each card's
+    bits, most recent first (Bayer and Diaconis 1992); summary bit i is set
+    where positions i and i + 1 hold different keys."""
+    recent_first = bits[::-1]
+    keys = {c: recent_first[n - c::n] for c in range(1, n + 1)}
+    deck = tuple(sorted(keys, key=keys.__getitem__))
+    return deck, sum(1 << i for i in range(n - 1) if keys[deck[i]] != keys[deck[i + 1]])
 
 
 class _ChainTable(dict):
@@ -450,13 +544,15 @@ CHAINS = _ChainTable({
     # the n to-top moves, 1 each, D = n
     "rtt": Chain("card-choice chains", CHOICE_PREDICATES, lambda n: n,
                  lambda n: ([(mv, 1) for mv in _to_tops(n)], n),
-                 apply_move, _choice_advance, (), _rtt_sampler),
+                 apply_move, _choice_advance, (), _rtt_paths, _rtt_settle),
     # the n to-top moves, 1 each, and top-to-bottom with n, D = 2n
     "walk1": Chain("card-choice chains", CHOICE_PREDICATES, lambda n: n + 1,
                    lambda n: ([(mv, 1) for mv in _to_tops(n)] + [(TOP_TO_BOTTOM, n)], 2 * n),
-                   apply_move, _choice_advance, (), _walk1_sampler),
+                   apply_move, _choice_advance, (), _walk1_paths,
+                   _walk1_settle),
     # the 2^n bit columns, 1 each, D = 2^n
     "riffle": Chain("the riffle chain", RIFFLE_PREDICATES, lambda n: 2 ** n,
                     lambda n: ([(col, 1) for col in itertools.product("01", repeat=n)], 2 ** n),
-                    inverse_riffle_apply, _riffle_advance, 0, _riffle_sampler),
+                    inverse_riffle_apply, _riffle_advance, 0, _riffle_paths,
+                    _riffle_settle),
 })

@@ -24,9 +24,10 @@ visits only the decks the walk reaches; the dense kernels in shuffles are
 its oracle.
 
 A seeded Monte-Carlo fallback estimates the same quantities but never
-certifies; it steps the DP's lumped (deck, summary) state per sample, so
-an estimate and a certificate read a predicate the same way.  The DP, the
-deck count and the sampler all step with the record's advance.
+certifies; it settles each sampled path into the DP's lumped (deck,
+summary) state with the record's settle, so an estimate and a certificate
+read a predicate the same way.  Only the DP and the deck count step with
+the record's advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
@@ -484,8 +485,9 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
                             seed: int) -> MonteCarloReport:
     """Estimate q and the conditional law from seeded samples.
 
-    Each sample steps one lumped (deck, summary) state with the moves and
-    summaries the certification DP uses, and decides the predicate on it.
+    Each sample is one seeded t-step path, settled in one pass into the
+    lumped (deck, summary) state the certification DP would step it to, and
+    the predicate is decided on that state.
     Reports point estimates with a 95% Wilson interval for q.  Sampling can
     refute nothing and certify nothing; certifies is always False.
     """
@@ -495,15 +497,15 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
         raise ValueError("t must be nonnegative")
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     record = CHAINS[chain]
-    advance, draw = record.advance, record.sampler(n, random.Random(seed))
-    start = identity_deck(n), None if predicate.kind == "always" else record.start_summary
+    settle = record.settle
+    paths = itertools.islice(record.paths(n, t, random.Random(seed)), samples)
 
     def satisfying():
-        for _ in range(samples):
-            deck, summary = start
-            for _ in range(t):
-                deck, summary = advance(deck, summary, draw())
+        for path in paths:
+            deck, summary = settle(n, path)
             if _summary_holds(predicate, deck, summary):
                 yield deck, 1
 

@@ -1,13 +1,15 @@
 """The CHAINS table: each record states its chain once, and nothing else does."""
 
 import ast
+import itertools
 import random
-from itertools import permutations
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
 
-from mixscope.shuffles import CHAINS
+from mixscope import shuffles
+from mixscope.shuffles import CHAINS, TOP_TO_BOTTOM, to_top
 from mixscope.verify import path_count
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixscope"
@@ -36,18 +38,117 @@ def test_branches_match_their_closed_forms(chain, n):
         assert path_count(chain, n, t) == record.branch_count(n) ** t
 
 
+def path_moves(chain, n, path):
+    """A sampled path in its record's encoding, read as the record's moves:
+    rtt's chosen cards, walk1's with 0 for top-to-bottom, and the riffle's
+    bit columns of n bits each, one byte per bit, earliest step first."""
+    if chain == "riffle":
+        return [tuple("01"[b] for b in path[i:i + n]) for i in range(0, len(path), n)]
+    return [to_top(c) if c else TOP_TO_BOTTOM for c in path]
+
+
+def every_path(chain, n, t):
+    """Every t-step path of the chain, in its record's encoding."""
+    if chain == "riffle":
+        return [bytes(bits) for bits in product((0, 1), repeat=n * t)]
+    cards = range(0 if chain == "walk1" else 1, n + 1)
+    return [list(path) for path in product(cards, repeat=t)]
+
+
 @pytest.mark.parametrize("chain", CHAIN_NAMES)
 @pytest.mark.parametrize("n", range(2, 7))
 def test_draws_are_moves_of_the_chain(chain, n):
     record = CHAINS[chain]
-    draw = record.sampler(n, random.Random(n))
-    draws = [draw() for _ in range(200)]
+    paths = list(islice(record.paths(n, 3, random.Random(n)), 200))
+    draws = [move for path in paths for move in path_moves(chain, n, path)]
+    assert len(draws) == 600
     if chain == "riffle":
         assert all(len(col) == n and set(col) <= {"0", "1"} for col in draws)
     else:
         listed = [move for move, _ in record.branches(n)[0]]
         assert all(move in listed for move in draws)
         assert len(set(draws)) > 1
+
+
+@pytest.mark.parametrize("chain,max_t", [("rtt", 4), ("walk1", 4), ("riffle", 3)])
+@pytest.mark.parametrize("n", range(2, 5))
+def test_settle_is_the_fold_of_advance(chain, max_t, n):
+    """settle reaches, in one pass, the lumped state that stepping advance
+    along the whole path reaches, from the start summary and from None."""
+    record = CHAINS[chain]
+    identity = tuple(range(1, n + 1))
+    for t in range(max_t + 1):
+        for path in every_path(chain, n, t):
+            tracked, untracked = (identity, record.start_summary), (identity, None)
+            for move in path_moves(chain, n, path):
+                tracked = record.advance(*tracked, move)
+                untracked = record.advance(*untracked, move)
+            assert record.settle(n, path) == tracked, (t, path)
+            assert untracked == (tracked[0], None)
+
+
+def first_draws(blocks, count):
+    return list(islice(itertools.chain.from_iterable(blocks), count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33])
+def test_block_readers_take_the_stdlib_draws(n, seed):
+    """The block readers give the values rng.randrange(n) and
+    rng.choice("01") give on a fresh generator, across block boundaries."""
+    rng = random.Random(seed)
+    expected = [rng.randrange(n) + 1 for _ in range(2000)]
+    assert first_draws(shuffles._card_blocks(n, random.Random(seed), n), 2000) == expected
+    rng = random.Random(seed)
+    expected = [int(rng.choice("01")) for _ in range(2000)]
+    assert first_draws(shuffles._bit_blocks(random.Random(seed), n), 2000) == expected
+
+
+class ScriptedWords(random.Random):
+    """A generator whose 32-bit outputs are the scripted words, then zeros;
+    random.Random's randrange and choice read them through getrandbits."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        out = 0
+        for i in range(0, k, 32):
+            word = next(self.words, 0)
+            out |= (word >> max(0, i + 32 - k)) << i
+        return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 31, 32, 33])
+def test_block_readers_take_the_boundary_words_as_the_stdlib(n):
+    """Words at and around each acceptance bound are taken or rejected
+    exactly as randrange(n) and choice("01") take or reject them."""
+    shift = 32 - n.bit_length()
+    edges = [0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, (n << shift) - 1, n << shift,
+             (n << shift) + 1, (1 << 24) * 127, (1 << 24) * 128 - 1, (1 << 24) * 128]
+    words = edges * 3
+    rng = ScriptedWords(words)
+    expected = [rng.randrange(n) + 1 for _ in range(20)]
+    assert first_draws(shuffles._card_blocks(n, ScriptedWords(words), 1), 20) == expected
+    rng = ScriptedWords(words)
+    expected = [int(rng.choice("01")) for _ in range(20)]
+    assert first_draws(shuffles._bit_blocks(ScriptedWords(words), 1), 20) == expected
+
+
+@pytest.mark.parametrize("chain", ["rtt", "riffle"])
+@pytest.mark.parametrize("t", [0, 1, 7, 700])
+def test_paths_are_the_draws_in_order(chain, t):
+    """Paths cut from blocks are consecutive runs of the stdlib draws, also
+    when one path needs more than a block; t = 0 gives empty paths."""
+    n, seed = 5, 3
+    paths = list(islice(CHAINS[chain].paths(n, t, random.Random(seed)), 4))
+    rng = random.Random(seed)
+    if chain == "riffle":
+        expected = [[int(rng.choice("01")) for _ in range(n * t)] for _ in range(4)]
+    else:
+        expected = [[rng.randrange(n) + 1 for _ in range(t)] for _ in range(4)]
+    assert [list(path) for path in paths] == expected
 
 
 @pytest.mark.parametrize("chain", CHAIN_NAMES)

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mixscope import cli, shuffles, verify
+from mixscope import cli, cycle, shuffles, verify
 from mixscope.cli import _jsonable, main
 from mixscope.dist import parse_rational
 
@@ -402,6 +402,18 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"]["code"] == "usage"
 
+    @pytest.mark.parametrize("command,extra", [("sst-check", ("--predicate", "always")),
+                                               ("stat-mix", ())])
+    def test_negative_seed_is_a_usage_error(self, capsys, command, extra):
+        code, out, err = run_cli(capsys, command, "--chain", "rtt", "--n", "3", "--t", "1",
+                                 "--statistic", "top_card", *extra, "--samples", "10",
+                                 "--seed", "-7")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "usage"
+        assert "seed must be nonnegative" in error["message"]
+
     def test_unknown_chain(self, capsys):
         code, _, _ = run_cli(capsys, "stat-mix", "--chain", "bogus", "--n", "3",
                              "--t", "1", "--statistic", "top_card")
@@ -515,6 +527,37 @@ class TestExitCodes:
         error = json.loads(err.splitlines()[0])["error"]
         assert error["code"] == "capacity"
         assert "coverage tail on 6 vertices to t=5 needs 300 " in error["message"]
+
+    def test_wide_tail_is_refused_before_listing_windows(self, capsys, monkeypatch):
+        """An 800-vertex coverage tail is charged from a count over its left
+        ends, a few thousand rule calls rather than one per alive window
+        (about 1.4 million), and refused before any half-step runs."""
+        real_tail = cycle._halfstep_tail
+        calls = 0
+
+        def counting_tail(coloring, x0, horizon, absorbed, name):
+            def rule(l, r):
+                nonlocal calls
+                calls += 1
+                if calls > 50_000:
+                    raise AssertionError("the absorption rule ran once per window")
+                return absorbed(l, r)
+            return real_tail(coloring, x0, horizon, rule, name)
+
+        def no_halfstep(counts):
+            raise AssertionError("a half-step ran before the refused charge")
+
+        monkeypatch.setattr(cycle, "_halfstep_tail", counting_tail)
+        monkeypatch.setattr(cycle, "_halfstep", no_halfstep)
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "cycle", "--coloring", "R" * 400 + "B" * 400,
+                                 "--x0", "0", "--horizon", "1000")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "capacity",
+            "message": "coverage tail on 800 vertices to t=1000 needs 680108800000 branches, "
+                       "over the budget of 10000000; use a shorter horizon"}
 
     def test_lossy_tally_is_internal(self, capsys, monkeypatch):
         """A law tally that misses its total mass exits 4, not usage."""

@@ -18,7 +18,7 @@ import pytest
 from conftest import statistic_cases
 
 import mixscope
-from mixscope import cli, shuffles, verify
+from mixscope import cli, cycle, shuffles, verify
 from mixscope.cli import main
 from mixscope.cycle import (
     AlternatingSet,
@@ -165,9 +165,9 @@ def _halfstep_tail(coloring, x0, horizon, absorbed):
     return tails
 
 
-def reference_tails(coloring, x0, horizon, sets=None):
-    """(coverage, vertex count, distance moved) tails on the (l, r, x)
-    engine, each with its absorption rule written out on absolute windows."""
+def reference_rules(coloring, x0, sets=None):
+    """The (coverage, vertex count, distance moved) absorption rules, each
+    written out on absolute windows."""
     size = len(coloring)
     half_size = 2 * size
     need = 2 * compute_k(coloring) - 1
@@ -189,7 +189,25 @@ def reference_tails(coloring, x0, horizon, sets=None):
     def moved(l, r):
         return r >= 2 * need or -l >= 2 * need
 
-    return tuple(_halfstep_tail(coloring, x0, horizon, rule) for rule in (covered, counted, moved))
+    return covered, counted, moved
+
+
+def reference_tails(coloring, x0, horizon, sets=None):
+    """(coverage, vertex count, distance moved) tails on the (l, r, x) engine."""
+    return tuple(_halfstep_tail(coloring, x0, horizon, rule)
+                 for rule in reference_rules(coloring, x0, sets))
+
+
+def listed_window_states(horizon, absorbed):
+    """Positions summed over the alive windows, listed one by one outward
+    from (0, 0) up to width 2 * horizon."""
+    listed = set()
+    level = set() if absorbed(0, 0) else {(0, 0)}
+    while level:
+        listed |= level
+        level = {w for l, r in level if r - l < 2 * horizon
+                 for w in ((l - 1, r), (l, r + 1)) if not absorbed(*w)}
+    return sum(r - l + 1 for l, r in listed)
 
 
 class TestTailsMatchStateEngine:
@@ -208,6 +226,27 @@ class TestTailsMatchStateEngine:
                        vertex_count_tail(coloring, x0, horizon),
                        distance_moved_tail(coloring, x0, horizon))
                 assert got == expected, ("".join(coloring), x0)
+
+    @pytest.mark.parametrize("size,starts,horizon",
+                             [(4, (0, 1), 12), (6, (0, 1), 12), (8, (0, 1), 12), (10, (0,), 8),
+                              (4, (0, 1), 1), (6, (0, 1), 2), (8, (0, 1), 3)])
+    def test_charge_counts_the_listed_windows(self, monkeypatch, size, starts, horizon):
+        """The closed-form window count behind each charge equals the count
+        of the windows listed one by one with the reference rules."""
+        charges = []
+        monkeypatch.setattr(cycle, "require_within_budget",
+                            lambda needed, what, hint: charges.append((needed, what)))
+        for reds in combinations(range(size), size // 2):
+            coloring = tuple("R" if v in reds else "B" for v in range(size))
+            for x0 in starts:
+                charges.clear()
+                coverage_time_tail(coloring, x0, horizon)
+                vertex_count_tail(coloring, x0, horizon)
+                covered, counted, _ = reference_rules(coloring, x0)
+                expected = [listed_window_states(horizon, rule) * 2 * 2 * horizon
+                            for rule in (covered, counted)]
+                assert [needed for needed, _ in charges] == expected, ("".join(coloring), x0)
+                assert [what.split()[0] for _, what in charges] == ["coverage", "vertex-count"]
 
     @pytest.mark.parametrize("marks", ["RRRRRRBBBBBB", "RRBRBBRRBRBB"])
     def test_short_horizons(self, marks):

@@ -387,6 +387,21 @@ class TestOracleIndependence:
         q, cond = conditional_statistic_distribution(paths, pred, parse_statistic("top_card", 3), 2)
         assert q == 1 and sum(cond.weights) == 1
 
+    @pytest.mark.parametrize("chain", ["rtt", "walk1", "riffle"])
+    def test_sampler_runs_without_the_lumped_step(self, monkeypatch, chain):
+        """The sampler settles whole paths; only the DP and the deck count
+        step with advance."""
+        def refuse(*args):
+            raise AssertionError("the sampler called a chain's lumped step")
+
+        for name, record in list(CHAINS.items()):
+            monkeypatch.setitem(CHAINS, name, dataclasses.replace(record, advance=refuse))
+        stat = parse_statistic("top_k_order:2", 4)
+        for ptext in oracle_predicates(chain, 4):
+            rep = monte_carlo_conditional(chain, 4, 3, parse_predicate(ptext, 4, chain), stat,
+                                          samples=50, seed=5)
+            assert rep.samples == 50
+
     def test_riffle_step_matches_sort_keys(self):
         """The riffle's lumped step on every deck of S_4, every split mask and every column
         against inverse_riffle_apply, and its mask against the one recomputed
@@ -458,6 +473,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             monte_carlo_conditional("rtt", 3, -1, parse_predicate("always", 3, "rtt"),
                                     parse_statistic("top_card", 3), samples=10, seed=0)
+
+    def test_negative_seed_rejected(self):
+        """random.Random(-7) seeds as Random(7) does, so a negative seed
+        would only repeat a nonnegative one's samples."""
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            monte_carlo_conditional("rtt", 3, 2, parse_predicate("always", 3, "rtt"),
+                                    parse_statistic("top_card", 3), samples=10, seed=-7)
 
     @pytest.mark.parametrize("chain", ["rtt", "walk1", "riffle"])
     def test_negative_t_rejected_by_the_deck_count(self, chain):
