@@ -1,9 +1,10 @@
-"""Command-line front end: experiment configs, reports, and serialization.
+"""Command-line front end: one runner per subcommand, and serialization.
 
-One experiment per invocation.  Subcommands: stat-mix, sst-check, cycle,
-decompose, counterexample.  Reports are deterministic for a fixed config
-and seed: JSON is emitted with sorted keys and no whitespace, rationals as
-"num/den" strings (or floats under --float), and the wall-clock duration
+One report per invocation.  Subcommands: stat-mix, sst-check, cycle,
+decompose, counterexample.  Each runner reads the parsed arguments
+directly, and the report echoes them under "config".  Reports are
+deterministic for fixed arguments and seed: JSON is emitted with sorted
+keys and no whitespace, rationals as "num/den" strings (or floats under --float), and the wall-clock duration
 goes to stderr so payload bytes never depend on timing.  Exit codes:
 0 success, 2 usage error, 3 enumeration budget exceeded, 4 internal error.
 """
@@ -19,7 +20,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -64,55 +64,23 @@ MINIMALITY_SEARCH_CAP = 16
 
 
 class UsageError(Exception):
-    """Invalid configuration detected after argparse accepted the syntax."""
+    """Invalid arguments, or an unwritable --out, found after argparse accepted them."""
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    fmt: str = "json"
-    out: str | None = None
-    use_float: bool = False
-    chain: str | None = None
-    n: int | None = None
-    t: int | None = None
-    statistic: str | None = None
-    predicate: str | None = None
-    samples: int | None = None
-    seed: int | None = None
-    coloring: str | None = None
-    x0: int | None = None
-    horizon: int | None = None
-    sets: str | None = None
-    chebyshev: str | None = None
-    check_minimality: bool = False
-    p0: int | None = None
-
-    @property
-    def mode(self) -> str:
-        return "monte-carlo" if self.samples is not None else "exact"
-
-    def echo(self) -> dict:
-        out = {"kind": self.kind, "mode": self.mode, "format": self.fmt,
-               "float": self.use_float}
-        for name in ("chain", "n", "t", "statistic", "predicate", "samples",
-                     "seed", "coloring", "x0", "horizon", "sets", "chebyshev",
-                     "check_minimality", "p0"):
-            value = getattr(self, name)
-            if value is not None and value is not False:
-                out[name] = value
-        return out
+# the config echo's rows after kind, mode, format and float, in this order
+CONFIG_ECHO = ("chain", "n", "t", "statistic", "predicate", "samples", "seed", "coloring",
+               "x0", "horizon", "sets", "chebyshev", "check_minimality", "p0")
 
 
-@dataclass
-class Report:
-    config: dict
-    version: str
-    results: dict
-    duration_s: float = field(default=0.0, compare=False)
-
-    def payload(self) -> dict:
-        return {"config": self.config, "version": self.version, "results": self.results}
+def _config_echo(args: argparse.Namespace) -> dict:
+    sampled = getattr(args, "samples", None) is not None
+    out = {"kind": args.kind, "mode": "monte-carlo" if sampled else "exact",
+           "format": args.fmt, "float": args.use_float}
+    for name in CONFIG_ECHO:
+        value = getattr(args, name, None)
+        if value is not None and value is not False:
+            out[name] = value
+    return out
 
 
 def _too_long_for_str(value: int) -> bool:
@@ -145,8 +113,8 @@ def _jsonable(value, use_float: bool):
     return state_to_json(value)
 
 
-def render_json(report: Report, use_float: bool) -> str:
-    payload = _jsonable(report.payload(), use_float)
+def render_json(payload: dict, use_float: bool) -> str:
+    payload = _jsonable(payload, use_float)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -165,8 +133,8 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append((prefix, "", value))
 
 
-def render_csv(report: Report, use_float: bool) -> str:
-    payload = _jsonable(report.payload(), use_float)
+def render_csv(payload: dict, use_float: bool) -> str:
+    payload = _jsonable(payload, use_float)
     rows: list = []
     for section in ("config", "version", "results"):
         _flatten(section, payload[section], rows)
@@ -180,20 +148,20 @@ def render_csv(report: Report, use_float: bool) -> str:
 
 # Subcommand runners
 
-def _run_stat_mix(cfg: ExperimentConfig) -> dict:
-    statistic = parse_statistic(cfg.statistic, cfg.n)
-    stationary = stationary_statistic_distribution(cfg.n, statistic)
-    if cfg.mode == "exact":
-        law = statistic_law_at(cfg.chain, cfg.n, cfg.t, statistic, stationary)
+def _run_stat_mix(args: argparse.Namespace) -> dict:
+    statistic = parse_statistic(args.statistic, args.n)
+    stationary = stationary_statistic_distribution(args.n, statistic)
+    if args.samples is None:
+        law = statistic_law_at(args.chain, args.n, args.t, statistic, stationary)
         return {
             "law": law,
             "stationary": stationary,
             "separation": separation_distance(law, stationary),
             "total_variation": total_variation(law, stationary),
         }
-    predicate = parse_predicate("always", cfg.n, cfg.chain)
-    mc = monte_carlo_conditional(cfg.chain, cfg.n, cfg.t, predicate, statistic,
-                                 cfg.samples, cfg.seed)
+    predicate = parse_predicate("always", args.n, args.chain)
+    mc = monte_carlo_conditional(args.chain, args.n, args.t, predicate, statistic,
+                                 args.samples, args.seed)
     freq = [[state_to_json(v), f] for v, f in mc.conditional_freq.items()]
     return {
         "law_estimate": freq,
@@ -204,11 +172,11 @@ def _run_stat_mix(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _run_sst_check(cfg: ExperimentConfig) -> dict:
-    statistic = parse_statistic(cfg.statistic, cfg.n)
-    predicate = parse_predicate(cfg.predicate, cfg.n, cfg.chain)
-    if cfg.mode == "exact":
-        report = check_strong_stationarity(cfg.chain, cfg.n, cfg.t, predicate, statistic)
+def _run_sst_check(args: argparse.Namespace) -> dict:
+    statistic = parse_statistic(args.statistic, args.n)
+    predicate = parse_predicate(args.predicate, args.n, args.chain)
+    if args.samples is None:
+        report = check_strong_stationarity(args.chain, args.n, args.t, predicate, statistic)
         return {
             "q": report.q,
             "conditional": report.conditional,
@@ -218,8 +186,8 @@ def _run_sst_check(cfg: ExperimentConfig) -> dict:
             "max_pointwise_deviation": report.max_pointwise_deviation,
             "predicate_stable": report.predicate_stable,
         }
-    mc = monte_carlo_conditional(cfg.chain, cfg.n, cfg.t, predicate, statistic,
-                                 cfg.samples, cfg.seed)
+    mc = monte_carlo_conditional(args.chain, args.n, args.t, predicate, statistic,
+                                 args.samples, args.seed)
     return {
         "samples": mc.samples,
         "seed": mc.seed,
@@ -240,38 +208,44 @@ def _parse_sets(raw: str | None):
         raise UsageError(f"bad --sets value {raw!r}; expected e.g. 0,2;1,3")
 
 
-def _run_cycle(cfg: ExperimentConfig) -> dict:
-    coloring = parse_coloring(cfg.coloring)
-    sets = _parse_sets(cfg.sets)
-    horizon = cfg.horizon
+def _chebyshev_times(raw: str, k: int):
+    """The c values of --chebyshev and the whole-step time t* of each."""
+    message = f"bad --chebyshev value {raw!r}"
+    try:
+        cs = [float(c) for c in raw.split(",")]
+    except ValueError:
+        raise UsageError(message)
+    t_stars = []
+    for c in cs:
+        t_star = chebyshev_time(k, c)
+        if not math.isfinite(t_star):  # nan, inf, or so large a c that t* overflows
+            raise UsageError(message)
+        t_stars.append(math.ceil(t_star))
+    return cs, t_stars
+
+
+def _run_cycle(args: argparse.Namespace) -> dict:
+    coloring = parse_coloring(args.coloring)
+    sets = _parse_sets(args.sets)
+    horizon = args.horizon
     k = compute_k(coloring)
-    if sets is None:
-        members = [a.members for a in alternating_decomposition(coloring)]
-    else:
-        members = [tuple(sorted(s)) for s in sets]
     # Chebyshev times are read off the same sweep, which runs past the
     # horizon when a t* lies beyond it; only horizon + 1 values are reported.
-    cs = []
-    if cfg.chebyshev:
-        try:
-            cs = [float(c) for c in cfg.chebyshev.split(",")]
-        except ValueError:
-            raise UsageError(f"bad --chebyshev value {cfg.chebyshev!r}")
-    t_stars = [math.ceil(chebyshev_time(k, c)) for c in cs]
+    cs, t_stars = _chebyshev_times(args.chebyshev, k) if args.chebyshev else ([], [])
     # the tails charge the budget up front, so one they refuse costs no sweep
-    cov = coverage_time_tail(coloring, cfg.x0, horizon, sets=sets)
-    vtx = vertex_count_tail(coloring, cfg.x0, horizon)
-    dst = distance_moved_tail(coloring, cfg.x0, horizon)
-    profile = separation_profile(coloring, cfg.x0, max([horizon, *t_stars]))
+    cov = coverage_time_tail(coloring, args.x0, horizon, sets=sets)
+    vtx = vertex_count_tail(coloring, args.x0, horizon)
+    dst = distance_moved_tail(coloring, args.x0, horizon)
+    profile = separation_profile(coloring, args.x0, max([horizon, *t_stars]))
     seps = profile[:horizon + 1]
     bound_ok = [s <= c for s, c in zip(seps, cov)]
     first_bad = next((t for t, ok in enumerate(bound_ok) if not ok), None)
-    dom = check_red_dominance(coloring, cfg.x0, horizon, sets=sets)
+    dom = check_red_dominance(coloring, args.x0, horizon, sets=sets)
     results = {
         "k": k,
-        "sets": [list(m) for m in members],
+        "sets": [list(m) for m in dom.sets],
         "midpoints_half_units": [
-            list(midpoints(AlternatingSet(m), len(coloring))) for m in members
+            list(midpoints(AlternatingSet(m), len(coloring))) for m in dom.sets
         ],
         "separation": seps,
         "coverage_tail": cov,
@@ -299,7 +273,7 @@ def _run_cycle(cfg: ExperimentConfig) -> dict:
             "argmin_t": dom.argmin_t,
         },
     }
-    if cfg.chebyshev:
+    if args.chebyshev:
         block = []
         for c, t_star in zip(cs, t_stars):
             sep_at = profile[t_star]
@@ -314,8 +288,8 @@ def _run_cycle(cfg: ExperimentConfig) -> dict:
     return results
 
 
-def _run_decompose(cfg: ExperimentConfig) -> dict:
-    coloring = parse_coloring(cfg.coloring)
+def _run_decompose(args: argparse.Namespace) -> dict:
+    coloring = parse_coloring(args.coloring)
     size = len(coloring)
     k = compute_k(coloring)
     sets = alternating_decomposition(coloring)
@@ -331,7 +305,7 @@ def _run_decompose(cfg: ExperimentConfig) -> dict:
         "partition_ok": flat == list(range(size)),
         "alternating_ok": all(check_alternating(coloring, a.members) for a in sets),
     }
-    if cfg.check_minimality:
+    if args.check_minimality:
         if size > MINIMALITY_SEARCH_CAP:
             raise CapacityError(
                 f"minimality search covers cycles up to {MINIMALITY_SEARCH_CAP} vertices"
@@ -340,10 +314,9 @@ def _run_decompose(cfg: ExperimentConfig) -> dict:
     return results
 
 
-def _run_counterexample(cfg: ExperimentConfig) -> dict:
-    n = cfg.n if cfg.n is not None else 52
-    t = cfg.t if cfg.t is not None else 10
-    p0 = cfg.p0 if cfg.p0 is not None else n
+def _run_counterexample(args: argparse.Namespace) -> dict:
+    n, t = args.n, args.t
+    p0 = args.p0 if args.p0 is not None else n
     law = walk1_position_distribution(n, t, p0)
     pr_top = law.weight(1)
     lower = max(Fraction(0), 1 - pr_top * n)
@@ -370,33 +343,24 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    started = time.monotonic()
-    results = RUNNERS[cfg.kind](cfg)
-    return Report(
-        config=cfg.echo(),
-        version=__version__,
-        results=results,
-        duration_s=time.monotonic() - started,
-    )
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.samples is not None:
-        if cfg.samples <= 0:
+def _validate(args: argparse.Namespace) -> None:
+    samples = getattr(args, "samples", None)
+    if samples is not None:
+        if args.exact:
+            raise UsageError("--exact and --samples are mutually exclusive")
+        if samples <= 0:
             raise UsageError("--samples must be positive")
-        if cfg.seed is None:
+        if args.seed is None:
             raise UsageError("monte-carlo mode requires --seed")
-        if cfg.kind in ("cycle", "decompose", "counterexample"):
-            raise UsageError(f"{cfg.kind} runs in exact mode only")
     for name in ("n", "t", "horizon"):
-        value = getattr(cfg, name)
+        value = getattr(args, name, None)
         if value is not None and value < 0:
             raise UsageError(f"--{name} must be nonnegative")
-    if cfg.n is not None and cfg.n < 2 and cfg.kind in ("stat-mix", "sst-check"):
-        raise UsageError("--n must be at least 2")
-    if cfg.chain is not None and cfg.chain not in CHAINS:
-        raise UsageError(f"--chain must be one of {', '.join(CHAINS)}")
+    if args.kind in ("stat-mix", "sst-check"):
+        if args.n < 2:
+            raise UsageError("--n must be at least 2")
+        if args.chain not in CHAINS:
+            raise UsageError(f"--chain must be one of {', '.join(CHAINS)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,29 +422,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {f for f in ExperimentConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(args).items() if k in fields}
-    cfg = ExperimentConfig(**values)
-    if getattr(args, "exact", False) and cfg.samples is not None:
-        raise UsageError("--exact and --samples are mutually exclusive")
-    return cfg
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mixscope-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mixscope-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _error_line(code: str, message: str) -> None:
@@ -488,17 +446,17 @@ def _error_line(code: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         enumeration_budget()
-        cfg = _config_from_args(args)
-        _validate(cfg)
-        report = run_experiment(cfg)
-        text = render_json(report, cfg.use_float) if cfg.fmt == "json" else \
-            render_csv(report, cfg.use_float)
-        _emit(text, cfg.out)
-        sys.stderr.write(f"mixscope: {cfg.kind} finished in {report.duration_s:.3f}s\n")
+        _validate(args)
+        started = time.monotonic()
+        payload = {"config": _config_echo(args), "version": __version__,
+                   "results": RUNNERS[args.kind](args)}
+        duration = time.monotonic() - started
+        render = render_json if args.fmt == "json" else render_csv
+        _emit(render(payload, args.use_float), args.out)
+        sys.stderr.write(f"mixscope: {args.kind} finished in {duration:.3f}s\n")
         return 0
     except UsageError as exc:
         _error_line("usage", str(exc))

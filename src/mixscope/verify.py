@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import comb, factorial, sqrt
 
 from .budget import require_within_budget
-from .dist import Distribution, InvariantError, Kernel, evolve, law_from_tally, _canon_key
+from .dist import Distribution, InvariantError, law_from_tally, _canon_key
 from .shuffles import (
     CHAINS,
     CHOICE_PREDICATES,
@@ -413,34 +413,15 @@ def count_nonnegative_paths(t: int) -> int:
     return comb(t, t // 2)
 
 
-def walk1_position_kernel(n: int) -> Kernel:
-    """The n-state chain tracking one card's position under walk1.
-
-    Choosing the tracked card itself (1/(2n)) sends it to position 1; a card
-    below it (weight (n-p)/(2n)) pushes it down one; a card above it leaves
-    it in place; top-to-bottom (1/2) cycles position 1 to n, else up one.
-    """
-    rows = {}
-    for p in range(1, n + 1):
-        row: dict = {}
-
-        def add(target, prob):
-            row[target] = row.get(target, Fraction(0)) + prob
-
-        add(1, Fraction(1, 2 * n))
-        if p < n:
-            add(p + 1, Fraction(n - p, 2 * n))
-        if p > 1:
-            add(p, Fraction(p - 1, 2 * n))
-        add(n if p == 1 else p - 1, Fraction(1, 2))
-        rows[p] = tuple(sorted(row.items()))
-    return Kernel(tuple(range(1, n + 1)), rows)
-
-
 def walk1_position_distribution(n: int, t: int, p0: int) -> Distribution:
     """Exact law of a tracked card's position after t walk1 steps.
 
-    Reaches deck sizes far beyond full-deck enumeration (n = 52 is routine).
+    One sweep of integer counts over 2n per step, dividing once at the end.
+    From position p (0-based i = p - 1): choosing the tracked card itself
+    (1 of 2n) sends it to position 1; a card below it (n - p of 2n) pushes
+    it down one; a card above it (p - 1 of 2n) leaves it in place;
+    top-to-bottom (n of 2n) cycles position 1 to n, else up one.  Reaches
+    deck sizes far beyond full-deck enumeration (n = 52 is routine).
     Charged to the budget as n positions x walk1's n + 1 branches x max(t, 1)
     steps.
     """
@@ -448,8 +429,16 @@ def walk1_position_distribution(n: int, t: int, p0: int) -> Distribution:
         raise ValueError(f"p0 must lie in 1..{n}")
     require_within_budget(n * path_count("walk1", n, 1) * max(t, 1),
                           f"tracked-card walk n={n} t={t}", "use a shorter t")
-    kernel = walk1_position_kernel(n)
-    return evolve(kernel, Distribution.point_mass(p0, kernel.states), t)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    counts = [0] * n
+    counts[p0 - 1] = 1
+    for _ in range(t):
+        new = [i * counts[i] + (n - i) * counts[i - 1] + n * counts[(i + 1) % n]
+               for i in range(1, n)]
+        counts = [n * counts[1 % n] + sum(counts), *new]
+    total = (2 * n) ** t
+    return Distribution(tuple(range(1, n + 1)), tuple(Fraction(c, total) for c in counts))
 
 
 # Seeded Monte-Carlo fallback: estimates, never certificates.

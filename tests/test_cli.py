@@ -133,13 +133,23 @@ FLOAT_PINS = [
     (("counterexample", "--n", "6", "--t", "4"),
      "e35ad2fec4e69d1a8d10d85a25f767a8fb132fec8611d28a190ab32576d86de6",
      "f9875843672254621224f89b4f1e6f8278bcc898fa7373dfcebc2691ee3cee78"),
+    # pinned before the config echo stopped going through a copy of the
+    # parsed arguments: every subcommand's config rows keep their order
+    (("cycle", "--coloring", "RRBRBB", "--x0", "1", "--horizon", "4",
+      "--sets", "4,1;5,3,2,0", "--chebyshev", "1.5,2"),
+     "a074a3c2f6da0b26bd93cfedeb7b074860329963bf6c2fbc203f96403da3a20f",
+     "c9fb5f38d61917f691af1bcb1f301fc1d09d8700d0d45e26e7b26a4627e1866b"),
+    (("decompose", "--coloring", "RRBRBB", "--check-minimality"),
+     "b526747fa808ed56c9155c5badcebfe230bf2cd7ea0b3ebc446269cd8104cc51",
+     "59c64a24e768a0a8cd5add267cfc7934d48db9b255c7665b7def125f27ac5629"),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv,json_sha,csv_sha", FLOAT_PINS,
                          ids=["stat-mix-rtt", "stat-mix-riffle", "stat-mix-sampled",
-                              "sst-check-certified", "sst-check-refuted", "counterexample"])
+                              "sst-check-certified", "sst-check-refuted", "counterexample",
+                              "cycle-sets-chebyshev", "decompose-minimality"])
 def test_float_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
     code, out, err = run_cli(capsys, *argv, "--format", fmt, "--float")
     assert code == 0, err
@@ -604,6 +614,33 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "cycle", "--coloring", "RBRB", "--x0", "0",
                              "--horizon", "1", "--chebyshev", "fast")
         assert code == 2
+
+    @pytest.mark.parametrize("value,code,kind", [("inf", 2, "usage"), ("nan", 2, "usage"),
+                                                  ("1e308", 2, "usage"),
+                                                  ("1e20", 3, "capacity")])
+    def test_chebyshev_value_without_a_finite_time(self, capsys, value, code, kind):
+        """A c whose t* is not finite is bad input; a finite but huge t* is
+        a sweep the budget refuses."""
+        got, out, err = run_cli(capsys, "cycle", "--coloring", "RRBRBB", "--x0", "1",
+                                "--horizon", "4", "--chebyshev", value)
+        assert got == code
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == kind
+        if kind == "usage":
+            assert error["message"] == f"bad --chebyshev value {value!r}"
+
+    @pytest.mark.parametrize("target,reason", [("missing/report.json", "No such file or directory"),
+                                               ("taken", "Is a directory")])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, target, reason):
+        (tmp_path / "taken").mkdir()
+        out_path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, "decompose", "--coloring", "RRBB", "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "usage", "message": f"cannot write --out {out_path}: {reason}"}
+        assert not list(tmp_path.rglob(".mixscope-*"))
 
     def test_negative_time_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "3",

@@ -18,7 +18,7 @@ import pytest
 from conftest import statistic_cases
 
 import mixscope
-from mixscope import cli, cycle, shuffles, verify
+from mixscope import budget, cli, cycle, dist, shuffles, verify
 from mixscope.cli import main
 from mixscope.cycle import (
     AlternatingSet,
@@ -301,20 +301,50 @@ class TestSparseLawMatchesDenseKernel:
                 assert sparse.support == expected.support, (stat.label(), t)
                 assert sparse.weights == expected.weights, (stat.label(), t)
 
-    def test_stat_mix_builds_no_dense_kernel(self, capsys, monkeypatch):
-        def refuse(n):
-            raise AssertionError("a dense kernel was built")
+    # the routes no report may take; each has a faster route on the CLI
+    ORACLES = [(shuffles, "random_to_top_kernel"), (shuffles, "walk1_kernel"),
+               (shuffles, "riffle_kernel"), (dist, "evolve"), (dist, "push_forward"),
+               (verify, "enumerate_paths"), (verify, "predicate_holds"),
+               (verify, "conditional_statistic_distribution"), (cycle, "lazy_cycle_kernel")]
+    SUBCOMMANDS = [
+        ("stat-mix", "--chain", "walk1", "--n", "4", "--t", "3", "--statistic", "top_card",
+         "--samples", "50", "--seed", "1"),
+        ("sst-check", "--chain", "rtt", "--n", "4", "--t", "3", "--statistic", "top_k_order:2",
+         "--predicate", "k_distinct:2"),
+        ("sst-check", "--chain", "riffle", "--n", "4", "--t", "2", "--statistic", "top_card",
+         "--predicate", "riffle_first_j_strings_distinct:2", "--samples", "50", "--seed", "2"),
+        ("cycle", "--coloring", "RRBRBB", "--x0", "1", "--horizon", "4",
+         "--sets", "4,1;5,3,2,0", "--chebyshev", "1.5"),
+        ("decompose", "--coloring", "RRBRBB", "--check-minimality"),
+        ("counterexample", "--n", "6", "--t", "4"),
+    ]
 
-        for module in (mixscope, shuffles, verify, cli):
-            for name in ("random_to_top_kernel", "walk1_kernel", "riffle_kernel"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+    def test_stat_mix_builds_no_dense_kernel(self, capsys, monkeypatch):
+        """No subcommand builds a dense kernel or any other oracle: every
+        mixscope binding of one refuses, and so does building a Kernel."""
+        def refusing(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"the oracle {name} ran")
+            return refuse
+
+        for owner, name in self.ORACLES:
+            original = getattr(owner, name)
+            for namespace in (mixscope, budget, cli, cycle, dist, shuffles, verify):
+                for key, value in list(vars(namespace).items()):
+                    if value is original:
+                        monkeypatch.setattr(namespace, key, refusing(name))
+        monkeypatch.setattr(dist.Kernel, "__post_init__", refusing("Kernel"))
         for chain in DENSE:
             code = main(["stat-mix", "--chain", chain, "--n", "4", "--t", "2",
                          "--statistic", "top_k_order:2"])
             captured = capsys.readouterr()
             assert code == 0, captured.err
             assert json.loads(captured.out)["results"]["law"]["support"]
+        for argv in self.SUBCOMMANDS:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 0, (argv[0], captured.err)
+            assert json.loads(captured.out)["results"]
 
 
 def cycle_results(capsys, horizon):
