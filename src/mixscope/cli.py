@@ -346,8 +346,6 @@ RUNNERS = {
 def _validate(args: argparse.Namespace) -> None:
     samples = getattr(args, "samples", None)
     if samples is not None:
-        if args.exact:
-            raise UsageError("--exact and --samples are mutually exclusive")
         if samples <= 0:
             raise UsageError("--samples must be positive")
         if args.seed is None:
@@ -377,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--float", dest="use_float", action="store_true",
                          help="render rationals as floats")
         if sampling:
-            sub.add_argument("--exact", action="store_true", default=False,
-                             help="exhaustive enumeration (the default)")
             sub.add_argument("--samples", type=int, default=None,
                              help="switch to seeded Monte-Carlo with this many samples")
             sub.add_argument("--seed", type=int, default=None)

@@ -21,6 +21,10 @@ decks reachable from the identity (verify.statistic_law_at), and the
 stationary law of a statistic an integer count over S_n.  The kernels stay
 as the independent oracle those counts are tested against.
 
+A move is the same value in every part of a record: a card-choice move is
+a card label, 0 for top-to-bottom (apply_move), and a riffle move is an
+n-byte column of 0/1 values; a path is its moves concatenated.
+
 A record's advance steps one lumped (deck, summary) state a move at a
 time; only the certification DP and the deck count use it.  The sampler
 takes whole paths instead: a record draws seeded t-step paths in blocks of
@@ -63,40 +67,16 @@ def identity_deck(n: int) -> tuple:
     return tuple(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class Move:
-    """Either ToTop(card) or TopToBottom."""
-
-    kind: str
-    card: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "to_top":
-            if not isinstance(self.card, int):
-                raise ValueError("to_top needs a card label")
-        elif self.kind == "top_to_bottom":
-            if self.card is not None:
-                raise ValueError("top_to_bottom takes no card")
-        else:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-
-
-def to_top(card: int) -> Move:
-    return Move("to_top", card)
-
-
-TOP_TO_BOTTOM = Move("top_to_bottom")
-
-
-def apply_move(deck: tuple, mv: Move) -> tuple:
-    """Apply one move; a bijection on decks for every fixed move."""
-    if mv.kind == "to_top":
-        try:
-            i = deck.index(mv.card)
-        except ValueError:
-            raise ValueError(f"unknown card label {mv.card!r} for deck of {len(deck)}")
-        return (mv.card,) + deck[:i] + deck[i + 1:]
-    return deck[1:] + deck[:1]
+def apply_move(deck: tuple, card: int) -> tuple:
+    """Move the card to the top, or the top card to the bottom when card is
+    0; a bijection on decks for every fixed move."""
+    if card == 0:
+        return deck[1:] + deck[:1]
+    try:
+        i = deck.index(card)
+    except ValueError:
+        raise ValueError(f"unknown card label {card!r} for deck of {len(deck)}")
+    return (card,) + deck[:i] + deck[i + 1:]
 
 
 # Lehmer encoding of S_n for dense state spaces
@@ -185,6 +165,11 @@ def inverse_riffle_apply(deck: tuple, strings: tuple) -> tuple:
     if any(len(s) != t for s in strings):
         raise ValueError("strings must share a common length")
     return tuple(sorted(deck, key=lambda c: strings[c - 1][::-1]))
+
+
+def _riffle_step(deck: tuple, column: bytes) -> tuple:
+    """The path oracle's riffle step: the column read as n one-bit strings."""
+    return inverse_riffle_apply(deck, tuple("01"[b] for b in column))
 
 
 # Statistic catalog
@@ -363,7 +348,14 @@ def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
 
 @dataclass(frozen=True)
 class Chain:
-    """One shuffle chain, stated once; every per-chain choice reads it."""
+    """One shuffle chain, stated once; every per-chain choice reads it.
+
+    A move has one encoding, shared by the branches, both steps and the
+    seeded paths: a card-choice move is the chosen card's label, 0 for
+    top-to-bottom; a riffle move is an n-byte column of 0/1 values, byte
+    c - 1 for card c.  A path is its moves concatenated: a list of labels,
+    or the columns' bytes, earliest step first.
+    """
 
     family: str  # how errors name the chains its predicates apply to
     predicates: dict  # its predicate family: kind -> parameter rule
@@ -374,7 +366,7 @@ class Chain:
     step: Callable  # (deck, move) -> deck, for the path oracle and dense kernels
     advance: Callable  # the lumped step (deck, summary, move) -> (deck, summary)
     start_summary: object  # the summary of the empty path
-    paths: Callable  # (n, t, rng) -> endless seeded t-step paths, in its encoding
+    paths: Callable  # (n, t, rng) -> endless seeded t-step paths
     settle: Callable  # (n, path) -> the (deck, summary) folding advance reaches
 
 
@@ -384,12 +376,11 @@ class Chain:
 # inverse_riffle_apply, which the path oracle uses, so that the routes
 # share no step.
 
-def _choice_advance(deck: tuple, summary, move: Move) -> tuple:
+def _choice_advance(deck: tuple, summary, card: int) -> tuple:
     """Card-choice chains: the summary is the distinct chosen cards, most
     recent first."""
-    if move.kind != "to_top":
+    if card == 0:
         return deck[1:] + deck[:1], summary
-    card = move.card
     i = deck.index(card)
     deck = (card,) + deck[:i] + deck[i + 1:]
     if summary is not None:
@@ -398,7 +389,7 @@ def _choice_advance(deck: tuple, summary, move: Move) -> tuple:
     return deck, summary
 
 
-def _riffle_advance(deck: tuple, summary, column: tuple) -> tuple:
+def _riffle_advance(deck: tuple, summary, column: bytes) -> tuple:
     """Inverse riffle: bit i of the summary is set when positions i and i+1
     hold different reversed strings (sort keys), so two cards share a key
     exactly when no set bit lies between them.  The step is a stable
@@ -412,7 +403,7 @@ def _riffle_advance(deck: tuple, summary, column: tuple) -> tuple:
         if splits & 1:
             split[0] = split[1] = True
         splits >>= 1
-        g = column[c - 1] == "1"
+        g = column[c - 1]
         if split[g] and groups[g]:
             masks[g] |= 1 << (len(groups[g]) - 1)
         split[g] = False
@@ -424,11 +415,6 @@ def _riffle_advance(deck: tuple, summary, column: tuple) -> tuple:
     return tuple(zeros + ones), masks[0] | boundary | masks[1] << len(zeros)
 
 
-def _to_tops(n: int) -> list:
-    """The n to-top moves, card c at index c - 1."""
-    return [to_top(c) for c in range(1, n + 1)]
-
-
 # The seeded paths: these draws, in this order, fix every sampled payload.
 # They are the generator outputs random.Random's own calls would take.
 # randrange(n) takes 32-bit outputs w until r = w >> (32 - n.bit_length())
@@ -436,9 +422,7 @@ def _to_tops(n: int) -> list:
 # is randrange(2), which takes w until its top byte is below 128 and gives
 # the bit top_byte >> 6.  One getrandbits(32 * words) call, read as
 # little-endian bytes, holds the next outputs in the order they were made,
-# on any platform.  A path's encoding is the record's own: rtt's chosen
-# cards; walk1's chosen cards, 0 for top-to-bottom; the riffle's t bit
-# columns of n bits each, one byte per bit, earliest step first.
+# on any platform.  A path is its record's moves concatenated (see Chain).
 
 _BLOCK_WORDS = 512  # generator outputs per getrandbits call, at least
 
@@ -543,16 +527,16 @@ class _ChainTable(dict):
 CHAINS = _ChainTable({
     # the n to-top moves, 1 each, D = n
     "rtt": Chain("card-choice chains", CHOICE_PREDICATES, lambda n: n,
-                 lambda n: ([(mv, 1) for mv in _to_tops(n)], n),
+                 lambda n: ([(card, 1) for card in range(1, n + 1)], n),
                  apply_move, _choice_advance, (), _rtt_paths, _rtt_settle),
     # the n to-top moves, 1 each, and top-to-bottom with n, D = 2n
     "walk1": Chain("card-choice chains", CHOICE_PREDICATES, lambda n: n + 1,
-                   lambda n: ([(mv, 1) for mv in _to_tops(n)] + [(TOP_TO_BOTTOM, n)], 2 * n),
+                   lambda n: ([(card, 1) for card in range(1, n + 1)] + [(0, n)], 2 * n),
                    apply_move, _choice_advance, (), _walk1_paths,
                    _walk1_settle),
     # the 2^n bit columns, 1 each, D = 2^n
     "riffle": Chain("the riffle chain", RIFFLE_PREDICATES, lambda n: 2 ** n,
-                    lambda n: ([(col, 1) for col in itertools.product("01", repeat=n)], 2 ** n),
-                    inverse_riffle_apply, _riffle_advance, 0, _riffle_paths,
-                    _riffle_settle),
+                    lambda n: ([(bytes(col), 1) for col in itertools.product((0, 1), repeat=n)],
+                               2 ** n),
+                    _riffle_step, _riffle_advance, 0, _riffle_paths, _riffle_settle),
 })

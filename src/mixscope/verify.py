@@ -10,11 +10,13 @@ Everything here is exhaustive and exact.  Certification runs a forward
 dynamic program over lumped states (deck, predicate summary, seen-true
 flag) with integer counts over the chain's common denominator D, dividing
 by D^t once at the end (the lumped-chain construction of Kemeny and Snell);
-D, the moves and both deck steps come from the chain's shuffles.CHAINS record.
-The summary is all a predicate can depend on: for card-choice chains the
-distinct chosen cards, most recent first; for the inverse riffle a bitmask
-of which adjacent deck positions hold different sort keys; for always,
-nothing (None).  Certification means exact equality of the conditional
+D, the moves and both deck steps come from the chain's shuffles.CHAINS record,
+and every route reads a move as the same value: a card label (0 for
+top-to-bottom) or a riffle column of n bytes, 0 or 1.  The summary is all
+a predicate can depend on: for card-choice chains the distinct chosen
+cards, most recent first; for the inverse riffle a bitmask of which
+adjacent deck positions hold different sort keys; for always, nothing
+(None).  Certification means exact equality of the conditional
 and stationary laws, value by value.  The budget still counts the paths
 the lumped states stand for.
 
@@ -31,10 +33,10 @@ the record's advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
-(moves and intermediate decks), decks stepped by the record's step
-(apply_move or inverse_riffle_apply), never by advance.  Bookkeeping
-errors in pencil-and-paper path arguments, and in the lumping, are exactly
-what it exists to catch.
+(the record's moves and intermediate decks), decks stepped by the record's
+step (apply_move, or inverse_riffle_apply reading a column as n one-bit
+strings), never by advance.  Bookkeeping errors in pencil-and-paper path
+arguments, and in the lumping, are exactly what it exists to catch.
 
 Predicates need not be stable (true-once-true-forever); the report states
 whether the one checked was stable along every path.
@@ -90,8 +92,9 @@ def parse_predicate(text: str, n: int, chain: str) -> Kind:
 class Path:
     """One weighted trajectory: start deck, per-step moves, all decks visited.
 
-    For the riffle chain each "move" is one bit column (a tuple of n bits,
-    one per card label); the recorded t-bit strings follow by concatenation,
+    Moves are the chain record's own values: card labels, 0 for
+    top-to-bottom, or riffle columns of n bytes, 0 or 1, one per card label;
+    a card's recorded t-bit string is its bits read down the columns,
     earliest step first.
     """
 
@@ -106,7 +109,7 @@ class Path:
             raise ValueError("recorded strings exist for riffle paths only")
         cols = self.moves if upto is None else self.moves[:upto]
         n = len(self.start)
-        return tuple("".join(col[c - 1] for col in cols) for c in range(1, n + 1))
+        return tuple("".join("01"[col[c - 1]] for col in cols) for c in range(1, n + 1))
 
 
 def predicate_holds(pred: Kind, path: Path, upto: int | None = None) -> bool:
@@ -118,7 +121,7 @@ def predicate_holds(pred: Kind, path: Path, upto: int | None = None) -> bool:
         return True
     n = len(path.start)
     if k in CHOICE_PREDICATES:
-        chosen = [mv.card for mv in path.moves[:upto] if mv.kind == "to_top"]
+        chosen = [card for card in path.moves[:upto] if card]
         if k == "k_distinct":
             return len(set(chosen)) >= ps[0]
         if k == "all_chosen":
@@ -215,11 +218,6 @@ def conditional_statistic_distribution(paths, predicate: Kind, statistic: Kind, 
 class SSTReport:
     """Outcome of one certification query."""
 
-    chain: str
-    n: int
-    t: int
-    predicate: Kind
-    statistic: Kind
     q: Fraction
     conditional: Distribution
     target: Distribution
@@ -280,6 +278,8 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
     _require_path_budget(chain, n, t)
+    # counted before the DP, so an n past its reach is refused before any work
+    target = stationary_statistic_distribution(n, statistic)
     record = CHAINS[chain]
     branches, denom = record.branches(n)
     advance = record.advance
@@ -312,7 +312,6 @@ def check_strong_stationarity(chain: str, n: int, t: int,
         raise ValueError("predicate never satisfied")
     q = Fraction(hits, denom ** t)
     conditional = law_from_tally(tally, hits)
-    target = stationary_statistic_distribution(n, statistic)
     cond_map = conditional.as_mapping()
     target_map = target.as_mapping()
     union = set(cond_map) | set(target_map)
@@ -321,11 +320,6 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     )
     certified = deviation == 0
     return SSTReport(
-        chain=chain,
-        n=n,
-        t=t,
-        predicate=predicate,
-        statistic=statistic,
         q=q,
         conditional=conditional,
         target=target,
@@ -425,6 +419,8 @@ def walk1_position_distribution(n: int, t: int, p0: int) -> Distribution:
     Charged to the budget as n positions x walk1's n + 1 branches x max(t, 1)
     steps.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 1 <= p0 <= n:
         raise ValueError(f"p0 must lie in 1..{n}")
     require_within_budget(n * path_count("walk1", n, 1) * max(t, 1),
@@ -445,11 +441,6 @@ def walk1_position_distribution(n: int, t: int, p0: int) -> Distribution:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    chain: str
-    n: int
-    t: int
-    predicate: Kind
-    statistic: Kind
     samples: int
     seed: int
     satisfied: int
@@ -502,11 +493,6 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
     satisfied = sum(tally.values())
     freq = {v: tally[v] / satisfied for v in sorted(tally, key=_canon_key)} if satisfied else {}
     return MonteCarloReport(
-        chain=chain,
-        n=n,
-        t=t,
-        predicate=predicate,
-        statistic=statistic,
         samples=samples,
         seed=seed,
         satisfied=satisfied,

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from mixscope import shuffles
-from mixscope.shuffles import CHAINS, TOP_TO_BOTTOM, to_top
-from mixscope.verify import path_count
+from mixscope.shuffles import CHAINS
+from mixscope.verify import enumerate_paths, path_count
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixscope"
 CHAIN_NAMES = ("rtt", "walk1", "riffle")
@@ -38,17 +38,13 @@ def test_branches_match_their_closed_forms(chain, n):
         assert path_count(chain, n, t) == record.branch_count(n) ** t
 
 
-def path_moves(chain, n, path):
-    """A sampled path in its record's encoding, read as the record's moves:
-    rtt's chosen cards, walk1's with 0 for top-to-bottom, and the riffle's
-    bit columns of n bits each, one byte per bit, earliest step first."""
-    if chain == "riffle":
-        return [tuple("01"[b] for b in path[i:i + n]) for i in range(0, len(path), n)]
-    return [to_top(c) if c else TOP_TO_BOTTOM for c in path]
+def riffle_columns(n, bits):
+    """A riffle path's bytes cut into its n-byte columns, earliest step first."""
+    return [bits[i:i + n] for i in range(0, len(bits), n)]
 
 
 def every_path(chain, n, t):
-    """Every t-step path of the chain, in its record's encoding."""
+    """Every t-step path of the chain: its moves concatenated."""
     if chain == "riffle":
         return [bytes(bits) for bits in product((0, 1), repeat=n * t)]
     cards = range(0 if chain == "walk1" else 1, n + 1)
@@ -58,16 +54,16 @@ def every_path(chain, n, t):
 @pytest.mark.parametrize("chain", CHAIN_NAMES)
 @pytest.mark.parametrize("n", range(2, 7))
 def test_draws_are_moves_of_the_chain(chain, n):
+    """Every sampled move, a card label or a riffle column, is one of the
+    record's listed moves, as the same value."""
     record = CHAINS[chain]
+    listed = [move for move, _ in record.branches(n)[0]]
     paths = list(islice(record.paths(n, 3, random.Random(n)), 200))
-    draws = [move for path in paths for move in path_moves(chain, n, path)]
+    draws = [move for path in paths
+             for move in (riffle_columns(n, path) if chain == "riffle" else path)]
     assert len(draws) == 600
-    if chain == "riffle":
-        assert all(len(col) == n and set(col) <= {"0", "1"} for col in draws)
-    else:
-        listed = [move for move, _ in record.branches(n)[0]]
-        assert all(move in listed for move in draws)
-        assert len(set(draws)) > 1
+    assert all(move in listed for move in draws)
+    assert len(set(draws)) > 1
 
 
 @pytest.mark.parametrize("chain,max_t", [("rtt", 4), ("walk1", 4), ("riffle", 3)])
@@ -80,11 +76,23 @@ def test_settle_is_the_fold_of_advance(chain, max_t, n):
     for t in range(max_t + 1):
         for path in every_path(chain, n, t):
             tracked, untracked = (identity, record.start_summary), (identity, None)
-            for move in path_moves(chain, n, path):
+            for move in riffle_columns(n, path) if chain == "riffle" else path:
                 tracked = record.advance(*tracked, move)
                 untracked = record.advance(*untracked, move)
             assert record.settle(n, path) == tracked, (t, path)
             assert untracked == (tracked[0], None)
+
+
+@pytest.mark.parametrize("chain,max_t", [("rtt", 4), ("walk1", 3), ("riffle", 2)])
+@pytest.mark.parametrize("n", range(2, 5))
+def test_settle_reaches_the_oracle_deck(chain, max_t, n):
+    """The path oracle's moves, concatenated, are a path settle reads: it
+    reaches the last deck the oracle's step reached."""
+    settle = CHAINS[chain].settle
+    for t in range(max_t + 1):
+        for path in enumerate_paths(chain, n, t):
+            moves = b"".join(path.moves) if chain == "riffle" else list(path.moves)
+            assert settle(n, moves)[0] == path.decks[-1], path.moves
 
 
 def first_draws(blocks, count):
@@ -195,6 +203,25 @@ def test_no_chain_name_ladders(module):
     allowed = {"verify.py": {"Path.recorded_strings"}}.get(module, set())
     found = _chain_comparisons(tree)
     assert [(line, scope) for line, scope in found if scope not in allowed] == []
+
+
+def _retired_move_kinds(tree):
+    """Lines of every string constant naming a retired move kind."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in ("to_top", "top_to_bottom"))
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_move_kind_strings(module):
+    """A move is a card label or a riffle column everywhere; no module
+    names a kind of move."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _retired_move_kinds(tree) == []
+
+
+def test_move_kind_check_sees_a_kind():
+    tree = ast.parse('if mv.kind == "to_top":\n    pass\nkind = "top_to_bottom"\n')
+    assert _retired_move_kinds(tree) == [1, 3]
 
 
 def test_ladder_check_sees_a_ladder():

@@ -605,10 +605,43 @@ class TestExitCodes:
         assert "MIXSCOPE_BUDGET" in json.loads(err.splitlines()[0])["error"]["message"]
 
     def test_exact_and_samples_conflict(self, capsys):
-        code, _, _ = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "3",
-                             "--t", "1", "--statistic", "top_card",
-                             "--exact", "--samples", "10", "--seed", "1")
+        """Exact mode is the default and has no flag: argparse refuses --exact,
+        alone or with --samples."""
+        for extra in ((), ("--samples", "10", "--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["stat-mix", "--chain", "rtt", "--n", "3", "--t", "1",
+                      "--statistic", "top_card", "--exact", *extra])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --exact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chain,t,predicate", [("rtt", 7, "any_to_top"),
+                                                   ("walk1", 2, "any_to_top"),
+                                                   ("riffle", 1, "always")])
+    def test_oversized_sst_check_is_refused_before_the_dp(self, capsys, monkeypatch,
+                                                           chain, t, predicate):
+        """The stationary law's n <= 8 refusal comes before any lumped step."""
+        def refuse(*args):
+            raise AssertionError("the lumped DP ran")
+
+        for name, record in list(shuffles.CHAINS.items()):
+            monkeypatch.setitem(shuffles.CHAINS, name, dataclasses.replace(record, advance=refuse))
+        code, out, err = run_cli(capsys, "sst-check", "--chain", chain, "--n", "10",
+                                 "--t", str(t), "--statistic", "top_card",
+                                 "--predicate", predicate)
         assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "usage", "message": "stationary enumeration covers n <= 8"}
+
+    @pytest.mark.parametrize("extra", [(), ("--p0", "1")])
+    def test_empty_deck_counterexample_names_n(self, capsys, extra):
+        code, out, err = run_cli(capsys, "counterexample", "--n", "0", *extra)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "usage", "message": "n must be at least 1, got 0"}
+        doc = run_json(capsys, "counterexample", "--n", "1", *extra)
+        assert doc["results"]["position_law"]["weights"] == ["1/1"]
 
     def test_bad_chebyshev_value(self, capsys):
         code, _, _ = run_cli(capsys, "cycle", "--coloring", "RBRB", "--x0", "0",

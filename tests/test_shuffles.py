@@ -13,8 +13,6 @@ from mixscope.dist import Distribution, evolve, push_forward
 from mixscope.shuffles import (
     STATISTIC_KINDS,
     Kind,
-    Move,
-    TOP_TO_BOTTOM,
     apply_move,
     deck_space,
     deck_statistic,
@@ -26,7 +24,6 @@ from mixscope.shuffles import (
     rank_deck,
     riffle_kernel,
     stationary_statistic_distribution,
-    to_top,
     unrank_deck,
     validate_statistic_kind,
     walk1_kernel,
@@ -35,19 +32,21 @@ from mixscope.shuffles import (
 
 class TestMoves:
     def test_to_top(self):
-        assert apply_move((1, 2, 3), to_top(3)) == (3, 1, 2)
-        assert apply_move((1, 2, 3), to_top(1)) == (1, 2, 3)
+        assert apply_move((1, 2, 3), 3) == (3, 1, 2)
+        assert apply_move((1, 2, 3), 1) == (1, 2, 3)
 
     def test_top_to_bottom(self):
-        assert apply_move((1, 2, 3), TOP_TO_BOTTOM) == (2, 3, 1)
+        assert apply_move((1, 2, 3), 0) == (2, 3, 1)
 
     def test_unknown_card(self):
         with pytest.raises(ValueError, match="unknown card"):
-            apply_move((1, 2, 3), to_top(9))
+            apply_move((1, 2, 3), 9)
+        with pytest.raises(ValueError, match="unknown card label -1"):
+            apply_move((1, 2, 3), -1)
 
     @given(deck=st.permutations(tuple(range(1, 6))), card=st.integers(1, 5))
     def test_moves_are_permutations(self, deck, card):
-        out = apply_move(tuple(deck), to_top(card))
+        out = apply_move(tuple(deck), card)
         assert sorted(out) == sorted(deck)
         assert out[0] == card
 
@@ -113,7 +112,7 @@ class TestKernels:
         # moving card c to the top of the identity is a c-cycle
         for n in (4, 5, 6):
             for c in range(1, n + 1):
-                deck = apply_move(identity_deck(n), to_top(c))
+                deck = apply_move(identity_deck(n), c)
                 parity = evaluate_statistic(parse_statistic("parity", n), deck)
                 assert parity == ("even" if c % 2 == 1 else "odd")
 

@@ -18,7 +18,6 @@ from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
 from mixscope.shuffles import (
     CHAINS,
-    TOP_TO_BOTTOM,
     Kind,
     apply_move,
     deck_statistic,
@@ -26,7 +25,6 @@ from mixscope.shuffles import (
     inverse_riffle_apply,
     parse_statistic,
     stationary_statistic_distribution,
-    to_top,
 )
 from mixscope.verify import (
     CHOICE_PREDICATES,
@@ -412,9 +410,9 @@ class TestOracleIndependence:
             for mask in range(2 ** (n - 1)):
                 # key class of each card: the set bits above its position
                 key = {c: bin(mask & ((1 << i) - 1)).count("1") for i, c in enumerate(deck)}
-                for column in product("01", repeat=n):
+                for column in map(bytes, product((0, 1), repeat=n)):
                     new_deck, new_mask = advance(deck, mask, column)
-                    assert new_deck == inverse_riffle_apply(deck, column)
+                    assert new_deck == inverse_riffle_apply(deck, tuple("01"[b] for b in column))
                     new_key = {c: (column[c - 1], key[c]) for c in deck}
                     expected = sum(1 << i for i in range(n - 1)
                                    if new_key[new_deck[i]] != new_key[new_deck[i + 1]])
@@ -499,13 +497,14 @@ def replay_path_sampler(chain, n, t, pred, stat, samples, seed):
         moves, decks = [], [start]
         for _ in range(t):
             if chain == "riffle":
-                mv = tuple(rng.choice("01") for _ in range(n))
-                decks.append(inverse_riffle_apply(decks[-1], mv))
+                bits = tuple(rng.choice("01") for _ in range(n))
+                mv = bytes(map(int, bits))
+                decks.append(inverse_riffle_apply(decks[-1], bits))
             else:
                 if chain == "walk1" and rng.random() < 0.5:
-                    mv = TOP_TO_BOTTOM
+                    mv = 0
                 else:
-                    mv = to_top(rng.randrange(1, n + 1))
+                    mv = rng.randrange(1, n + 1)
                 decks.append(apply_move(decks[-1], mv))
             moves.append(mv)
         if predicate_holds(pred, Path(chain, start, tuple(moves), tuple(decks), F(0))):
