@@ -52,6 +52,7 @@ from .dist import (
 )
 from .shuffles import CHAINS, parse_statistic, stationary_statistic_distribution
 from .verify import (
+    ALWAYS,
     check_strong_stationarity,
     count_nonnegative_paths,
     monte_carlo_conditional,
@@ -159,8 +160,7 @@ def _run_stat_mix(args: argparse.Namespace) -> dict:
             "separation": separation_distance(law, stationary),
             "total_variation": total_variation(law, stationary),
         }
-    predicate = parse_predicate("always", args.n, args.chain)
-    mc = monte_carlo_conditional(args.chain, args.n, args.t, predicate, statistic,
+    mc = monte_carlo_conditional(args.chain, args.n, args.t, ALWAYS, statistic,
                                  args.samples, args.seed)
     freq = [[state_to_json(v), f] for v, f in mc.conditional_freq.items()]
     return {
@@ -231,7 +231,7 @@ def _run_cycle(args: argparse.Namespace) -> dict:
     k = compute_k(coloring)
     # Chebyshev times are read off the same sweep, which runs past the
     # horizon when a t* lies beyond it; only horizon + 1 values are reported.
-    cs, t_stars = _chebyshev_times(args.chebyshev, k) if args.chebyshev else ([], [])
+    cs, t_stars = _chebyshev_times(args.chebyshev, k) if args.chebyshev is not None else ([], [])
     # the tails charge the budget up front, so one they refuse costs no sweep
     cov = coverage_time_tail(coloring, args.x0, horizon, sets=sets)
     vtx = vertex_count_tail(coloring, args.x0, horizon)
@@ -273,7 +273,7 @@ def _run_cycle(args: argparse.Namespace) -> dict:
             "argmin_t": dom.argmin_t,
         },
     }
-    if args.chebyshev:
+    if args.chebyshev is not None:
         block = []
         for c, t_star in zip(cs, t_stars):
             sep_at = profile[t_star]

@@ -500,7 +500,6 @@ def chebyshev_time(k: int, c: float) -> float:
 class NearestReport:
     """Nearest member of one set to the start vertex."""
 
-    members: tuple
     distance: int
     color: str | None  # None when tied members disagree in color
     nearest: tuple
@@ -508,9 +507,6 @@ class NearestReport:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    coloring: tuple
-    x0: int
-    horizon: int
     sets: tuple
     nearest: tuple
     precondition_holds: bool
@@ -531,9 +527,9 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
     separation_profile, and its minimum reported.
     """
     members_list = _decomposition_members(coloring, sets)
+    partition = tuple(tuple(m) for m in members_list)
     size = len(coloring)
-    if not 0 <= x0 < size:
-        raise ValueError(f"x0 must be a vertex in 0..{size - 1}")
+    _check_start(size, x0, horizon)
     nearest_reports = []
     failing = []
     for idx, members in enumerate(members_list):
@@ -541,15 +537,13 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
         at_best = tuple(v for v in members if cyclic_distance(v, x0, size) == best)
         colors = {coloring[v] for v in at_best}
         color = colors.pop() if len(colors) == 1 else None
-        nearest_reports.append(NearestReport(tuple(members), best, color, at_best))
+        nearest_reports.append(NearestReport(best, color, at_best))
         if color != RED:
             failing.append(idx)
     precondition = not failing
     if not precondition:
-        return DominanceReport(
-            coloring, x0, horizon, tuple(tuple(m) for m in members_list),
-            tuple(nearest_reports), False, tuple(failing), None, None, None,
-        )
+        return DominanceReport(partition, tuple(nearest_reports), False, tuple(failing),
+                               None, None, None)
     min_margin = None
     argmin_t = None
     for t, red in enumerate(_red_counts(coloring, x0, horizon)):
@@ -557,10 +551,7 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
         if min_margin is None or margin < min_margin:
             min_margin, argmin_t = margin, t
     holds = min_margin >= 0
-    return DominanceReport(
-        coloring, x0, horizon, tuple(tuple(m) for m in members_list),
-        tuple(nearest_reports), True, (), holds, min_margin, argmin_t,
-    )
+    return DominanceReport(partition, tuple(nearest_reports), True, (), holds, min_margin, argmin_t)
 
 
 def has_alternating_partition(coloring: tuple, parts: int) -> bool:

@@ -26,7 +26,7 @@ a card label, 0 for top-to-bottom (apply_move), and a riffle move is an
 n-byte column of 0/1 values; a path is its moves concatenated.
 
 A record's advance steps one lumped (deck, summary) state a move at a
-time; only the certification DP and the deck count use it.  The sampler
+time; only verify's one lumped count uses it.  The sampler
 takes whole paths instead: a record draws seeded t-step paths in blocks of
 generator outputs, and its settle gives each path's lumped state in one
 pass.
@@ -370,7 +370,7 @@ class Chain:
     settle: Callable  # (n, path) -> the (deck, summary) folding advance reaches
 
 
-# The lumped steps of the certification DP and the deck count.  A None
+# The lumped steps of verify's one lumped count.  A None
 # summary (the always predicate tracks none) stays None.  They, and the
 # sampler's settles below, are written apart from apply_move and
 # inverse_riffle_apply, which the path oracle uses, so that the routes

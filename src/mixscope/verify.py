@@ -6,10 +6,13 @@ law?  If yes, and the event has probability q, the statistic's separation
 distance from stationarity is at most 1 - q, because every value a then
 satisfies Pr(f(X_t) = a) >= q * f(pi)(a).
 
-Everything here is exhaustive and exact.  Certification runs a forward
-dynamic program over lumped states (deck, predicate summary, seen-true
-flag) with integer counts over the chain's common denominator D, dividing
-by D^t once at the end (the lumped-chain construction of Kemeny and Snell);
+Everything here is exhaustive and exact.  One forward count,
+_lumped_counts, runs a dynamic program over lumped states (deck, predicate
+summary, seen-true flag) with integer counts over the chain's common
+denominator D, checks that they sum to D^t, and leaves the one division by
+D^t to its two callers (the lumped-chain construction of Kemeny and Snell):
+certification, and the law of a statistic at time t, which is the always
+case of the same count with q = 1, visiting only the decks the walk reaches.
 D, the moves and both deck steps come from the chain's shuffles.CHAINS record,
 and every route reads a move as the same value: a card label (0 for
 top-to-bottom) or a riffle column of n bytes, 0 or 1.  The summary is all
@@ -17,19 +20,16 @@ a predicate can depend on: for card-choice chains the distinct chosen
 cards, most recent first; for the inverse riffle a bitmask of which
 adjacent deck positions hold different sort keys; for always, nothing
 (None).  Certification means exact equality of the conditional
-and stationary laws, value by value.  The budget still counts the paths
-the lumped states stand for.
-
-The law of a statistic at time t, with no conditioning, is the same kind
-of forward count over decks alone, started from the identity deck, so it
-visits only the decks the walk reaches; the dense kernels in shuffles are
-its oracle.
+and stationary laws, value by value.  Each caller charges the budget its
+own way: certification the paths the lumped states stand for, the law
+n! states x one step's branches x max(t, 1); the dense kernels in
+shuffles are the law's oracle.
 
 A seeded Monte-Carlo fallback estimates the same quantities but never
 certifies; it settles each sampled path into the DP's lumped (deck,
 summary) state with the record's settle, so an estimate and a certificate
-read a predicate the same way.  Only the DP and the deck count step with
-the record's advance.
+read a predicate the same way.  Only the lumped count steps with the
+record's advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
@@ -68,6 +68,8 @@ from .shuffles import (
 
 # predicate kind -> its parameter rule (shuffles.PARAMETER_RULES)
 PREDICATE_KINDS = {"always": "none", **CHOICE_PREDICATES, **RIFFLE_PREDICATES}
+# the path event every path satisfies: conditioning on it changes nothing
+ALWAYS = Kind("always", ())
 
 
 def validate_predicate_kind(pred: Kind, n: int, chain: str) -> None:
@@ -262,29 +264,19 @@ def _summary_holds(pred: Kind, deck: tuple, summary) -> bool:
     raise AssertionError(k)
 
 
-def check_strong_stationarity(chain: str, n: int, t: int,
-                              predicate: Kind,
-                              statistic: Kind) -> SSTReport:
-    """Certify or refute: conditional law at t equals the stationary law.
+def _lumped_counts(chain: str, n: int, t: int, predicate: Kind):
+    """({(deck, predicate holds at t): paths}, stable) from the identity deck.
 
-    Certification requires exact equality for every value; then the
-    separation of the statistic at time t is at most 1 - q.  Refutation
-    reports the largest pointwise deviation.  predicate_stable records
-    whether the predicate, once true along a path, stayed true.
-
-    Runs the lumped dynamic program; the budget is charged for the paths
-    it stands for.  enumerate_paths gives the same report path by path.
+    The one forward count over lumped states (deck, predicate summary,
+    held at some earlier step), with integer path counts over the chain's
+    common denominator D; its final counts sum to D^t, which is checked
+    here.  stable records whether the predicate, once true along a path,
+    stayed true.  The caller validates its arguments and charges the budget.
     """
-    validate_statistic_kind(statistic, n)
-    validate_predicate_kind(predicate, n, chain)
-    _require_path_budget(chain, n, t)
-    # counted before the DP, so an n past its reach is refused before any work
-    target = stationary_statistic_distribution(n, statistic)
     record = CHAINS[chain]
     branches, denom = record.branches(n)
     advance = record.advance
     start = None if predicate.kind == "always" else record.start_summary
-    # (deck, summary, held at some earlier step) -> number of paths
     states = {(identity_deck(n), start, False): 1}
     stable = True
     for step in range(t + 1):
@@ -299,18 +291,41 @@ def check_strong_stationarity(chain: str, n: int, t: int,
                 continue
             seen = seen or holds
             for move, m in branches:
-                key = (*advance(deck, summary, move), seen)
+                new_deck, new_summary = advance(deck, summary, move)
+                key = (new_deck, new_summary, seen)
                 nxt[key] = nxt.get(key, 0) + count * m
         states = nxt
     total = sum(states.values())
     if total != denom ** t:
         raise InvariantError(f"lumped counts sum to {total}, not {denom}^{t}")
+    return states, stable
+
+
+def check_strong_stationarity(chain: str, n: int, t: int,
+                              predicate: Kind,
+                              statistic: Kind) -> SSTReport:
+    """Certify or refute: conditional law at t equals the stationary law.
+
+    Certification requires exact equality for every value; then the
+    separation of the statistic at time t is at most 1 - q.  Refutation
+    reports the largest pointwise deviation.  predicate_stable records
+    whether the predicate, once true along a path, stayed true.
+
+    Runs the lumped count; the budget is charged for the paths it stands
+    for.  enumerate_paths gives the same report path by path.
+    """
+    validate_statistic_kind(statistic, n)
+    validate_predicate_kind(predicate, n, chain)
+    _require_path_budget(chain, n, t)
+    # counted before the lumped count, so an n past its reach is refused before any work
+    target = stationary_statistic_distribution(n, statistic)
+    counts, stable = _lumped_counts(chain, n, t, predicate)
     tally = statistic_tally(
-        statistic, ((deck, count) for (deck, holds), count in states.items() if holds))
+        statistic, ((deck, count) for (deck, holds), count in counts.items() if holds))
     hits = sum(tally.values())
     if hits == 0:
         raise ValueError("predicate never satisfied")
-    q = Fraction(hits, denom ** t)
+    q = Fraction(hits, sum(counts.values()))
     conditional = law_from_tally(tally, hits)
     cond_map = conditional.as_mapping()
     target_map = target.as_mapping()
@@ -334,37 +349,23 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
                      stationary: Distribution) -> Distribution:
     """Law of the statistic at time t from the identity deck (no paths).
 
-    A forward count over the decks the walk reaches, with integer
-    multiplicities over the chain's common denominator D and one division
-    by D^t at the end; the statistic is evaluated once per reached deck.
-    The support is that of the statistic's stationary law, which the caller
-    passes in: its whole image over S_n, zero-padded.  The dense kernels in
-    shuffles give the same law and are the oracle it is tested against.
-    Charged to the budget as n! states x one step's branches x max(t, 1)
-    steps before it starts.
+    The lumped count with the predicate always, whose states are then the
+    decks the walk reaches: one forward count, two callers (the other is
+    check_strong_stationarity).  The statistic is evaluated once per reached
+    deck.  The support is that of the statistic's stationary law, which the
+    caller passes in: its whole image over S_n, zero-padded.  The dense
+    kernels in shuffles are its oracle.  Charged to the budget as n! states
+    x one step's branches x max(t, 1) steps before it starts.
     """
     _require_dense(n)
     validate_statistic_kind(statistic, n)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    record = CHAINS[chain]
-    require_within_budget(factorial(n) * record.branch_count(n) * max(t, 1),
+    require_within_budget(factorial(n) * CHAINS[chain].branch_count(n) * max(t, 1),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
-    branches, denom = record.branches(n)
-    advance = record.advance
-    counts = {identity_deck(n): 1}
-    for _ in range(t):
-        nxt: dict = {}
-        for deck, count in counts.items():
-            for move, m in branches:
-                new_deck = advance(deck, None, move)[0]
-                nxt[new_deck] = nxt.get(new_deck, 0) + count * m
-        counts = nxt
-    total = denom ** t
-    reached = sum(counts.values())
-    if reached != total:
-        raise InvariantError(f"deck counts sum to {reached}, not {denom}^{t}")
-    tally = statistic_tally(statistic, counts.items())
+    counts, _ = _lumped_counts(chain, n, t, ALWAYS)
+    tally = statistic_tally(statistic, ((deck, count) for (deck, _), count in counts.items()))
+    total = sum(counts.values())
     return Distribution(stationary.support,
                         tuple(Fraction(tally.get(v, 0), total) for v in stationary.support))
 

@@ -290,7 +290,7 @@ DENSE = {"rtt": random_to_top_kernel, "walk1": walk1_kernel, "riffle": riffle_ke
 
 
 def test_criterion_11_cross_oracle_consistency():
-    with criterion(11, "paths, lumped DP, deck count and kernel evolution agree; "
+    with criterion(11, "paths, lumped count and kernel evolution agree; "
                        "closed forms hold"):
         for chain in CHAINS:
             for n in (2, 3, 4):

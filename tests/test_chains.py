@@ -170,10 +170,25 @@ def test_lumped_step_moves_decks_as_the_oracle_step(chain, n):
             assert record.advance(deck, None, move) == (record.step(deck, move), None)
 
 
+def _scoped_lines(tree, matches):
+    """(line, enclosing class.function) of every node that matches."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if matches(node):
+            found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
 def _chain_comparisons(tree):
     """(line, enclosing class.function) of every comparison against a chain
     name literal, bare or inside a tuple, list or set."""
-    found = []
 
     def is_chain_literal(node):
         if isinstance(node, ast.Constant):
@@ -182,17 +197,14 @@ def _chain_comparisons(tree):
             return any(is_chain_literal(e) for e in node.elts)
         return False
 
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            scope = scope + (node.name,)
-        if isinstance(node, ast.Compare) and any(
-                is_chain_literal(e) for e in (node.left, *node.comparators)):
-            found.append((node.lineno, ".".join(scope)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+    return _scoped_lines(tree, lambda node: isinstance(node, ast.Compare) and any(
+        is_chain_literal(e) for e in (node.left, *node.comparators)))
 
-    visit(tree, ())
-    return found
+
+def _advance_reads(tree):
+    """(line, enclosing class.function) of every read of an .advance attribute."""
+    return _scoped_lines(tree, lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "advance")
 
 
 @pytest.mark.parametrize("module", ["shuffles.py", "verify.py", "cli.py"])
@@ -228,3 +240,18 @@ def test_ladder_check_sees_a_ladder():
     tree = ast.parse("def f(chain):\n    if chain in ('rtt', 'walk1'):\n        return 1\n"
                      "    return chain != 'riffle'\n")
     assert _chain_comparisons(tree) == [(2, "f"), (4, "f")]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_one_lumped_count_steps_with_advance(module):
+    """The law and the certificate share one forward count; no other code
+    steps a record's lumped state."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    allowed = {"verify.py": {"_lumped_counts"}}.get(module, set())
+    assert [(line, scope) for line, scope in _advance_reads(tree) if scope not in allowed] == []
+
+
+def test_advance_check_sees_a_read():
+    tree = ast.parse("def f(record):\n    step = record.advance\n"
+                     "    return CHAINS['rtt'].advance(deck, None, 0)\n")
+    assert _advance_reads(tree) == [(2, "f"), (3, "f")]

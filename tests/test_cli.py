@@ -14,7 +14,7 @@ import pytest
 
 from mixscope import cli, cycle, shuffles, verify
 from mixscope.cli import _jsonable, main
-from mixscope.dist import parse_rational
+from mixscope.dist import InvariantError, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -598,6 +598,28 @@ class TestExitCodes:
         assert error["code"] == "internal"
         assert "not 6^2" in error["message"]
 
+    @pytest.mark.parametrize("chain,n,t", [("rtt", 3, 2), ("walk1", 3, 2), ("riffle", 2, 1)])
+    def test_one_mass_check_for_law_and_certificate(self, capsys, monkeypatch, chain, n, t):
+        """stat-mix and sst-check run one lumped count: with a move missing,
+        both refuse in the library and exit 4 with the same message."""
+        drop_first_branch(monkeypatch, chain)
+        stat = shuffles.parse_statistic("top_card", n)
+        stationary = shuffles.stationary_statistic_distribution(n, stat)
+        with pytest.raises(InvariantError) as law_error:
+            verify.statistic_law_at(chain, n, t, stat, stationary)
+        with pytest.raises(InvariantError) as certificate_error:
+            verify.check_strong_stationarity(chain, n, t, verify.ALWAYS, stat)
+        message = str(law_error.value)
+        assert message.startswith("lumped counts sum to ")
+        assert str(certificate_error.value) == message
+        common = ("--chain", chain, "--n", str(n), "--t", str(t), "--statistic", "top_card")
+        for argv in (("stat-mix", *common), ("sst-check", *common, "--predicate", "always")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 4, argv
+            assert out == ""
+            assert json.loads(err.splitlines()[0])["error"] == {
+                "code": "internal", "message": message}
+
     def test_invalid_budget_is_usage_error_everywhere(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXSCOPE_BUDGET", "frog")
         code, _, err = run_cli(capsys, "counterexample", "--n", "3", "--t", "1")
@@ -649,11 +671,11 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("value,code,kind", [("inf", 2, "usage"), ("nan", 2, "usage"),
-                                                  ("1e308", 2, "usage"),
+                                                  ("1e308", 2, "usage"), ("", 2, "usage"),
                                                   ("1e20", 3, "capacity")])
     def test_chebyshev_value_without_a_finite_time(self, capsys, value, code, kind):
-        """A c whose t* is not finite is bad input; a finite but huge t* is
-        a sweep the budget refuses."""
+        """A c whose t* is not finite is bad input, as is an empty value; a
+        finite but huge t* is a sweep the budget refuses."""
         got, out, err = run_cli(capsys, "cycle", "--coloring", "RRBRBB", "--x0", "1",
                                 "--horizon", "4", "--chebyshev", value)
         assert got == code

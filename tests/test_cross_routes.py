@@ -3,7 +3,7 @@
 evolve, the cycle's one-sweep color law and the tracked-card chain all
 count with integers and divide once at the end.  Each is compared here
 with the most direct reference there is: a step loop that multiplies
-Fraction weights by the kernel's Fraction rows.  The sparse deck count
+Fraction weights by the kernel's Fraction rows.  The lumped count
 behind stat-mix is compared with evolve on the dense deck kernels.  The
 cycle's three stopping-time tails are compared with a plain engine that
 counts every (left, right, position) state on its own.

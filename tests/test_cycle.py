@@ -449,6 +449,17 @@ class TestRedDominance:
         assert rep.failing_sets != ()
         assert rep.dominance_holds is None
 
+    @pytest.mark.parametrize("coloring,x0,precondition", [("RBRB", 0, True), ("RRBB", 2, False)])
+    def test_start_is_checked_before_the_precondition(self, coloring, x0, precondition):
+        """A negative horizon or an off-cycle start is refused whether or not
+        the nearest-is-red precondition holds."""
+        marks = parse_coloring(coloring)
+        assert check_red_dominance(marks, x0, 0).precondition_holds == precondition
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            check_red_dominance(marks, x0, -1)
+        with pytest.raises(ValueError, match=r"x0 must be a vertex in 0\.\.3"):
+            check_red_dominance(marks, 4, 1)
+
     def test_margin_is_red_mass_minus_half(self):
         explicit = [(0, 2, 3, 5, 6, 8, 9, 11), (1, 4, 7, 10)]
         rep = check_red_dominance(MOD6, 0, 30, sets=explicit)

@@ -387,8 +387,8 @@ class TestOracleIndependence:
 
     @pytest.mark.parametrize("chain", ["rtt", "walk1", "riffle"])
     def test_sampler_runs_without_the_lumped_step(self, monkeypatch, chain):
-        """The sampler settles whole paths; only the DP and the deck count
-        step with advance."""
+        """The sampler settles whole paths; only the lumped count
+        steps with advance."""
         def refuse(*args):
             raise AssertionError("the sampler called a chain's lumped step")
 
