@@ -18,8 +18,11 @@ verify and cli reads.  Explicit kernels over Lehmer ranks are built for 2 <= n <
 charged to the budget as n! rows x one step's branches.
 No report uses them: the exact law at time t is a forward count over the
 decks reachable from the identity (verify.statistic_law_at), and the
-stationary law of a statistic an integer count over S_n.  The kernels stay
-as the independent oracle those counts are tested against.
+stationary law of a statistic a closed-form count of the decks giving each
+value (stationary_tally), charged to the budget by its support size, so no
+report lists S_n.  The kernels stay as the independent oracle of the law
+at time t; the tests keep the count over all of S_n as the stationary
+law's oracle.
 
 A move is the same value in every part of a record: a card-choice move is
 a card label, 0 for top-to-bottom (apply_move), and a riffle move is an
@@ -33,7 +36,8 @@ pass.
 
 Each statistic and predicate kind maps to a rule of PARAMETER_RULES,
 checked by validate_kind; statistic_tally is the one loop evaluating a
-statistic over weighted decks.
+statistic over weighted decks, and stationary_tally gives its count over
+the uniform deck without evaluating it.
 
 Multi-step riffle strings record the earliest step's bit first.  One-shot
 application must agree with composing single-bit steps, and a stable sort
@@ -48,6 +52,7 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, perm
 
 from .budget import require_within_budget
 from .dist import Distribution, Kernel, law_from_tally
@@ -334,14 +339,89 @@ def statistic_tally(kind: Kind, weighted_decks) -> dict:
     return tally
 
 
+def _ordered_partitions(cards: tuple, size: int):
+    """Every ordered partition of the cards into blocks of the given size,
+    each block a sorted tuple."""
+    if not cards:
+        yield ()
+        return
+    for block in itertools.combinations(cards, size):
+        rest = tuple(c for c in cards if c not in block)
+        for tail in _ordered_partitions(rest, size):
+            yield (block,) + tail
+
+
+def _block_size(kind: Kind, n: int) -> int:
+    """The size of each block a block_sets or modular_hands value holds."""
+    return kind.params[0] if kind.kind == "block_sets" else n // kind.params[0]
+
+
+def stationary_support_size(n: int, kind: Kind) -> int:
+    """How many values the statistic, validated once by the caller, takes
+    over S_n, in closed form: the size of its stationary law's support."""
+    k, ps = kind.kind, kind.params
+    if k in ("top_card", "position_of", "card_above", "card_below"):
+        return n
+    if k in ("top_k_order", "positions_of"):
+        return perm(n, ps[0] if k == "top_k_order" else len(ps))
+    if k == "top_k_set":
+        return comb(n, ps[0])
+    if k == "parity":
+        return 2
+    if k == "relative_order":
+        return factorial(len(ps))
+    if k == "distance":
+        return n - 1
+    if k in ("block_sets", "modular_hands"):
+        s = _block_size(kind, n)
+        return factorial(n) // factorial(s) ** (n // s)
+    raise AssertionError(k)
+
+
+def stationary_tally(n: int, kind: Kind) -> dict:
+    """value -> the number of decks of S_n giving it, in closed form, for a
+    statistic validated once by the caller (n >= 2).  The values are those
+    evaluate_statistic gives."""
+    k, ps = kind.kind, kind.params
+    cards = range(1, n + 1)
+    if k in ("top_card", "position_of"):
+        return dict.fromkeys(cards, factorial(n - 1))
+    if k in ("top_k_order", "positions_of"):
+        # top k cards in order, or the positions of m cards: ordered m-tuples
+        m = ps[0] if k == "top_k_order" else len(ps)
+        return dict.fromkeys(itertools.permutations(cards, m), factorial(n - m))
+    if k == "top_k_set":
+        return dict.fromkeys(itertools.combinations(cards, ps[0]),
+                             factorial(ps[0]) * factorial(n - ps[0]))
+    if k == "parity":
+        return dict.fromkeys(("even", "odd"), factorial(n) // 2)
+    if k in ("card_above", "card_below"):
+        # the card at the end, or glued to one other card
+        return dict.fromkeys(["none", *(c for c in cards if c != ps[0])], factorial(n - 1))
+    if k == "relative_order":
+        return dict.fromkeys(itertools.permutations(ps), factorial(n) // factorial(len(ps)))
+    if k == "distance":
+        # 2(n - d) position pairs d apart, the other n - 2 cards in any order
+        return {d: 2 * (n - d) * factorial(n - 2) for d in range(1, n)}
+    if k in ("block_sets", "modular_hands"):
+        # blocks of s cards, each in any order within its s positions
+        s = _block_size(kind, n)
+        return dict.fromkeys(_ordered_partitions(tuple(cards), s), factorial(s) ** (n // s))
+    raise AssertionError(k)
+
+
 def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
-    """Exact law of the statistic under the uniform deck: an integer count of
-    the decks giving each value, over all of S_n, divided once by n!."""
-    if n > MAX_DENSE_N:
-        raise ValueError(f"stationary enumeration covers n <= {MAX_DENSE_N}")
+    """Exact law of the statistic under the uniform deck: the closed-form
+    count of the decks giving each value (stationary_tally), divided once
+    by n!.  Charged to the budget as its support size, before any value is
+    listed."""
+    if n < 2:
+        raise ValueError("deck needs at least 2 cards")
     validate_statistic_kind(kind, n)
-    decks = itertools.permutations(range(1, n + 1))
-    return law_from_tally(statistic_tally(kind, ((deck, 1) for deck in decks)), _FACT[n])
+    require_within_budget(stationary_support_size(n, kind),
+                          f"stationary law of {kind.label()} n={n}",
+                          "use a statistic with fewer values")
+    return law_from_tally(stationary_tally(n, kind), factorial(n))
 
 
 # Chains

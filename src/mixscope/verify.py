@@ -21,9 +21,10 @@ cards, most recent first; for the inverse riffle a bitmask of which
 adjacent deck positions hold different sort keys; for always, nothing
 (None).  Certification means exact equality of the conditional
 and stationary laws, value by value.  Each caller charges the budget its
-own way: certification the paths the lumped states stand for, the law
-n! states x one step's branches x max(t, 1); the dense kernels in
-shuffles are the law's oracle.
+own way: certification the paths the lumped states stand for (past the
+dense range, times the n cards of each lumped deck), the law n! states x
+one step's branches x max(t, 1); the dense kernels in shuffles are the
+law's oracle.
 
 A seeded Monte-Carlo fallback estimates the same quantities but never
 certifies; it settles each sampled path into the DP's lumped (deck,
@@ -55,6 +56,7 @@ from .dist import Distribution, InvariantError, law_from_tally, _canon_key
 from .shuffles import (
     CHAINS,
     CHOICE_PREDICATES,
+    MAX_DENSE_N,
     RIFFLE_PREDICATES,
     Kind,
     _require_dense,
@@ -312,12 +314,19 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     whether the predicate, once true along a path, stayed true.
 
     Runs the lumped count; the budget is charged for the paths it stands
-    for.  enumerate_paths gives the same report path by path.
+    for, past the dense range (n > MAX_DENSE_N) for the cards of that many
+    lumped decks too, then for the stationary law's support.
+    enumerate_paths gives the same report path by path.
     """
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
     _require_path_budget(chain, n, t)
-    # counted before the lumped count, so an n past its reach is refused before any work
+    if n > MAX_DENSE_N:
+        # a lumped state holds a whole deck, so past the dense range the
+        # paths' n-card decks, not the paths, bound the count's memory
+        require_within_budget(path_count(chain, n, t) * n, f"lumped decks {chain} n={n} t={t}",
+                              "use Monte-Carlo mode")
+    # charged before the lumped count, so a support over the budget is refused before any work
     target = stationary_statistic_distribution(n, statistic)
     counts, stable = _lumped_counts(chain, n, t, predicate)
     tally = statistic_tally(

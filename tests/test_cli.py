@@ -247,6 +247,29 @@ class TestStatMix:
         assert res["samples"] == 100
         assert sum(f for _, f in res["law_estimate"]) == pytest.approx(1.0)
 
+    def test_sampled_law_past_the_dense_kernels(self, capsys):
+        """Sampling mode has no n <= 8 wall: the stationary law is a closed form."""
+        doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "9", "--t", "5",
+                       "--statistic", "top_card", "--samples", "100", "--seed", "1")
+        stationary = doc["results"]["stationary"]
+        assert stationary["support"] == list(range(1, 10))
+        assert stationary["weights"] == ["1/9"] * 9
+
+    def test_sampled_law_with_a_large_stationary_support(self, capsys):
+        doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "20", "--t", "40",
+                       "--statistic", "top_k_order:3", "--samples", "100", "--seed", "1")
+        stationary = doc["results"]["stationary"]
+        assert len(stationary["support"]) == 20 * 19 * 18
+        assert set(stationary["weights"]) == {"1/6840"}
+
+    def test_exact_law_stops_at_the_dense_kernels(self, capsys):
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "9",
+                                 "--t", "2", "--statistic", "top_card")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "usage", "message": "dense kernels cover 2 <= n <= 8; n=9 needs sampler mode"}
+
 
 class TestSstCheck:
     def test_certificate_example(self, capsys):
@@ -267,6 +290,16 @@ class TestSstCheck:
         assert res["is_strongly_stationary"] is False
         assert res["q"] == "3/4"
         assert frac(res["max_pointwise_deviation"]) == F(4, 9) - F(1, 3)
+
+    def test_certificate_past_the_dense_kernels(self, capsys):
+        """Exact certification is bounded by the path budget, not by n <= 8."""
+        doc = run_json(capsys, "sst-check", "--chain", "rtt", "--n", "9",
+                       "--t", "3", "--statistic", "top_k_order:2",
+                       "--predicate", "k_distinct:2")
+        res = doc["results"]
+        assert res["is_strongly_stationary"] is True
+        assert frac(res["q"]) == verify.prob_k_distinct(9, 2, 3) == F(80, 81)
+        assert res["sep_bound"] == "1/81"
 
 
 class TestCycle:
@@ -571,14 +604,14 @@ class TestExitCodes:
 
     def test_lossy_tally_is_internal(self, capsys, monkeypatch):
         """A law tally that misses its total mass exits 4, not usage."""
-        real = shuffles.statistic_tally
+        real = shuffles.stationary_tally
 
-        def lossy(kind, weighted_decks):
-            tally = real(kind, weighted_decks)
+        def lossy(n, kind):
+            tally = real(n, kind)
             del tally[next(iter(tally))]
             return tally
 
-        monkeypatch.setattr(shuffles, "statistic_tally", lossy)
+        monkeypatch.setattr(shuffles, "stationary_tally", lossy)
         code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "3",
                                  "--t", "1", "--statistic", "top_card")
         assert code == 4
@@ -636,24 +669,86 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("chain,t,predicate", [("rtt", 7, "any_to_top"),
-                                                   ("walk1", 2, "any_to_top"),
-                                                   ("riffle", 1, "always")])
+    @pytest.mark.parametrize("chain,t,predicate", [("rtt", 8, "any_to_top"),
+                                                   ("walk1", 7, "any_to_top"),
+                                                   ("riffle", 3, "always")])
     def test_oversized_sst_check_is_refused_before_the_dp(self, capsys, monkeypatch,
                                                            chain, t, predicate):
-        """The stationary law's n <= 8 refusal comes before any lumped step."""
+        """A path count over the budget is refused before any lumped step."""
+        paths = {"rtt": 10 ** 8, "walk1": 11 ** 7, "riffle": 2 ** 30}[chain]
+
         def refuse(*args):
             raise AssertionError("the lumped DP ran")
 
         for name, record in list(shuffles.CHAINS.items()):
             monkeypatch.setitem(shuffles.CHAINS, name, dataclasses.replace(record, advance=refuse))
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
         code, out, err = run_cli(capsys, "sst-check", "--chain", chain, "--n", "10",
                                  "--t", str(t), "--statistic", "top_card",
                                  "--predicate", predicate)
-        assert code == 2
+        assert code == 3
         assert out == ""
         assert json.loads(err.splitlines()[0])["error"] == {
-            "code": "usage", "message": "stationary enumeration covers n <= 8"}
+            "code": "capacity",
+            "message": f"path enumeration {chain} n=10 t={t} needs {paths} branches, "
+                       "over the budget of 10000000; use Monte-Carlo mode"}
+
+    def test_lumped_decks_are_charged_past_the_dense_range(self, capsys, monkeypatch):
+        """Past n = 8 a certification is charged its paths times n, the cards
+        of the lumped decks it may hold; up to n = 8 the paths alone."""
+        argv = ("sst-check", "--chain", "rtt", "--t", "2", "--statistic", "top_card",
+                "--predicate", "any_to_top")
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(8 ** 2))
+        run_json(capsys, *argv, "--n", "8")
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(9 ** 2 * 9))
+        run_json(capsys, *argv, "--n", "9")
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(9 ** 2 * 9 - 1))
+        code, out, err = run_cli(capsys, *argv, "--n", "9")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "capacity",
+            "message": "lumped decks rtt n=9 t=2 needs 729 branches, over the budget of 728; "
+                       "use Monte-Carlo mode"}
+
+    def test_large_stationary_support_is_refused_before_listing(self, capsys, monkeypatch):
+        """The stationary law is charged its support size, 20!/10! here,
+        before any value is listed."""
+        def no_listing(n, kind):
+            raise AssertionError("the stationary values were listed")
+
+        monkeypatch.setattr(shuffles, "stationary_tally", no_listing)
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "20", "--t", "5",
+                                 "--statistic", "positions_of:1,2,3,4,5,6,7,8,9,10",
+                                 "--samples", "10", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "capacity",
+            "message": "stationary law of positions_of:1,2,3,4,5,6,7,8,9,10 n=20 needs "
+                       f"{math.factorial(20) // math.factorial(10)} branches, over the budget "
+                       "of 10000000; use a statistic with fewer values"}
+
+    @pytest.mark.parametrize("statistic,support", [("top_k_order:3", 120), ("top_k_set:3", 20),
+                                                   ("block_sets:2", 90), ("distance:1,6", 5)])
+    def test_stationary_charge_is_the_support_size(self, capsys, monkeypatch, statistic,
+                                                   support):
+        """Sampling mode charges nothing else, so the stationary law's
+        support size is the whole charge."""
+        argv = ("stat-mix", "--chain", "rtt", "--n", "6", "--t", "2", "--statistic", statistic,
+                "--samples", "10", "--seed", "1")
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(support))
+        doc = run_json(capsys, *argv)
+        assert len(doc["results"]["stationary"]["support"]) == support
+        monkeypatch.setenv("MIXSCOPE_BUDGET", str(support - 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "capacity"
+        assert error["message"].startswith(
+            f"stationary law of {statistic} n=6 needs {support} branches")
 
     @pytest.mark.parametrize("extra", [(), ("--p0", "1")])
     def test_empty_deck_counterexample_names_n(self, capsys, extra):

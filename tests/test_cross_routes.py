@@ -4,7 +4,8 @@ evolve, the cycle's one-sweep color law and the tracked-card chain all
 count with integers and divide once at the end.  Each is compared here
 with the most direct reference there is: a step loop that multiplies
 Fraction weights by the kernel's Fraction rows.  The lumped count
-behind stat-mix is compared with evolve on the dense deck kernels.  The
+behind stat-mix is compared with evolve on the dense deck kernels, and
+the closed-form stationary law with the count over every deck.  The
 cycle's three stopping-time tails are compared with a plain engine that
 counts every (left, right, position) state on its own.
 """
@@ -12,7 +13,7 @@ counts every (left, right, position) state on its own.
 import json
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from conftest import statistic_cases
@@ -36,8 +37,9 @@ from mixscope.cycle import (
     validate_coloring,
     vertex_count_tail,
 )
-from mixscope.dist import Distribution, evolve, push_forward, separation_distance
+from mixscope.dist import Distribution, evolve, law_from_tally, push_forward, separation_distance
 from mixscope.shuffles import (
+    STATISTIC_KINDS,
     Kind,
     deck_statistic,
     identity_deck,
@@ -45,6 +47,9 @@ from mixscope.shuffles import (
     rank_deck,
     riffle_kernel,
     stationary_statistic_distribution,
+    stationary_support_size,
+    statistic_tally,
+    validate_statistic_kind,
     walk1_kernel,
 )
 from mixscope.verify import statistic_law_at, walk1_position_distribution
@@ -345,6 +350,48 @@ class TestSparseLawMatchesDenseKernel:
             captured = capsys.readouterr()
             assert code == 0, (argv[0], captured.err)
             assert json.loads(captured.out)["results"]
+
+
+def every_statistic(n):
+    """Every statistic valid at deck size n with every parameter: each k,
+    card and divisor, and each set of cards in label order and reversed."""
+    sets = [c for m in range(1, n + 1) for c in combinations(range(1, n + 1), m)]
+    params = [(), *sets, *(c[::-1] for c in sets if len(c) > 1)]
+    cases = []
+    for kind in STATISTIC_KINDS:
+        for ps in params:
+            stat = Kind(kind, ps)
+            try:
+                validate_statistic_kind(stat, n)
+            except ValueError:
+                continue
+            cases.append(stat)
+    return cases
+
+
+class TestStationaryLawMatchesEnumeration:
+    """The closed-form stationary law against the count of every deck of
+    S_n, the route it replaced; support order included."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_closed_form_is_the_count_over_every_deck(self, n):
+        decks = list(permutations(range(1, n + 1)))
+        if n <= 6:
+            cases = every_statistic(n)
+        elif n == 7:
+            cases = statistic_cases(n)
+        else:  # the middle parameter choice of each kind
+            by_kind = {}
+            for stat in statistic_cases(n):
+                by_kind.setdefault(stat.kind, []).append(stat)
+            cases = [stats[len(stats) // 2] for stats in by_kind.values()]
+        assert {stat.kind for stat in cases} == set(STATISTIC_KINDS)
+        for stat in cases:
+            expected = law_from_tally(statistic_tally(stat, ((d, 1) for d in decks)), len(decks))
+            law = stationary_statistic_distribution(n, stat)
+            assert law.support == expected.support, stat.label()
+            assert law.weights == expected.weights, stat.label()
+            assert stationary_support_size(n, stat) == len(law.support), stat.label()
 
 
 def cycle_results(capsys, horizon):
