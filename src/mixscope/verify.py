@@ -7,10 +7,10 @@ distance from stationarity is at most 1 - q, because every value a then
 satisfies Pr(f(X_t) = a) >= q * f(pi)(a).
 
 Everything here is exhaustive and exact.  One forward count,
-_lumped_counts, runs a dynamic program over lumped states (deck, predicate
-summary, seen-true flag) with integer counts over the chain's common
-denominator D, checks that they sum to D^t, and leaves the one division by
-D^t to its two callers (the lumped-chain construction of Kemeny and Snell):
+_lumped_counts, runs a dynamic program over lumped (deck, predicate
+summary) states with integer counts over the chain's common denominator D,
+checks that they sum to D^t, and leaves the one division by D^t to its two
+callers (the lumped-chain construction of Kemeny and Snell):
 certification, and the law of a statistic at time t, which is the always
 case of the same count with q = 1, visiting only the decks the walk reaches.
 D, the moves and both deck steps come from the chain's shuffles.CHAINS record,
@@ -19,18 +19,19 @@ top-to-bottom) or a riffle column of n bytes, 0 or 1.  The summary is all
 a predicate can depend on: for card-choice chains the distinct chosen
 cards, most recent first; for the inverse riffle a bitmask of which
 adjacent deck positions hold different sort keys; for always, nothing
-(None).  Certification means exact equality of the conditional
-and stationary laws, value by value.  Each caller charges the budget its
-own way: certification the paths the lumped states stand for (past the
-dense range, times the n cards of each lumped deck), the law n! states x
-one step's branches x max(t, 1); the dense kernels in shuffles are the
-law's oracle.
+(None).  summary_test compiles a predicate once per request into a test
+of that state, which the count, the certificate and the sampler all call.
+Certification means exact equality of the conditional and stationary
+laws, value by value.  Each caller charges the budget its own way:
+certification the paths the lumped states stand for (past the dense
+range, times the n cards of each lumped deck), the law n! states x one
+step's branches, both over max(t, 1) steps; the dense kernels in shuffles
+are the law's oracle.
 
 A seeded Monte-Carlo fallback estimates the same quantities but never
 certifies; it settles each sampled path into the DP's lumped (deck,
-summary) state with the record's settle, so an estimate and a certificate
-read a predicate the same way.  Only the lumped count steps with the
-record's advance.
+summary) state with the record's settle and decides it with the same
+test.  Only the lumped count steps with the record's advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
@@ -164,8 +165,9 @@ def path_count(chain: str, n: int, t: int) -> int:
 def _require_path_budget(chain: str, n: int, t: int) -> None:
     if t < 0:
         raise ValueError("t must be nonnegative")
-    require_within_budget(path_count(chain, n, t), f"path enumeration {chain} n={n} t={t}",
-                          "use Monte-Carlo mode")
+    # t = 0 still lists one step's branches: all 2^n columns for the riffle
+    require_within_budget(path_count(chain, n, max(t, 1)),
+                          f"path enumeration {chain} n={n} t={t}", "use Monte-Carlo mode")
 
 
 def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
@@ -231,76 +233,78 @@ class SSTReport:
     predicate_stable: bool
 
 
-def _summary_holds(pred: Kind, deck: tuple, summary) -> bool:
-    """predicate_holds on any path that reaches (deck, summary)."""
+def summary_test(pred: Kind, n: int):
+    """The predicate, validated once by the caller, as a test of a lumped
+    (deck, summary) state: predicate_holds on any path that reaches it.
+    The kind and parameters are read here, once per request."""
     k, ps = pred.kind, pred.params
-    n = len(deck)
     if k == "always":
-        return True
-    if k == "k_distinct":
-        return len(summary) >= ps[0]
-    if k == "all_chosen":
-        return len(summary) == n
+        return lambda deck, summary: True
+    if k in ("k_distinct", "all_chosen", "any_to_top"):
+        # at least k, all n, or one distinct card chosen
+        need = ps[0] if k == "k_distinct" else n if k == "all_chosen" else 1
+        return lambda deck, summary: len(summary) >= need
     if k == "card_chosen":
-        return ps[0] in summary
+        return lambda deck, summary: ps[0] in summary
     if k == "any_of_chosen":
-        return any(c in summary for c in ps)
-    if k == "any_to_top":
-        return bool(summary)
+        return lambda deck, summary: any(c in summary for c in ps)
     if k == "chosen_more_recently_than":
         c, need = ps
         # c's index in the recency tuple counts the distinct cards chosen since
-        return c in summary and summary.index(c) >= need
-
-    def split(i):
-        return summary >> i & 1
-
-    if k == "riffle_first_j_strings_distinct":
-        return all(split(i) for i in range(min(ps[0], n - 1)))
+        return lambda deck, summary: c in summary and summary.index(c) >= need
+    # summary bit i: positions i and i + 1 hold different sort keys
     if k == "riffle_set_strings_distinct":
-        positions = [deck.index(c) for c in ps]
-        return all((p == 0 or split(p - 1)) and (p == n - 1 or split(p)) for p in positions)
-    if k == "riffle_blocks_nonoverlapping":
-        b = ps[0]
-        return all(split(i * b - 1) for i in range(1, n // b))
-    raise AssertionError(k)
+        ends = 1 | 1 << n  # padded, bits p and p + 1 are the gaps around position p
+        return lambda deck, summary: all(
+            (summary << 1 | ends) >> deck.index(c) & 3 == 3 for c in ps)
+    if k == "riffle_first_j_strings_distinct":
+        need = (1 << min(ps[0], n - 1)) - 1
+    elif k == "riffle_blocks_nonoverlapping":
+        need = sum(1 << i * ps[0] - 1 for i in range(1, n // ps[0]))
+    else:
+        raise AssertionError(k)
+    return lambda deck, summary: summary & need == need
 
 
 def _lumped_counts(chain: str, n: int, t: int, predicate: Kind):
-    """({(deck, predicate holds at t): paths}, stable) from the identity deck.
+    """({(deck, summary) at t: paths}, holds, stable) from the identity deck.
 
-    The one forward count over lumped states (deck, predicate summary,
-    held at some earlier step), with integer path counts over the chain's
-    common denominator D; its final counts sum to D^t, which is checked
-    here.  stable records whether the predicate, once true along a path,
-    stayed true.  The caller validates its arguments and charges the budget.
+    The one forward count over the (deck, summary) pairs the record's
+    advance returns (always tracks no summary: None), in integer path counts
+    over the chain's common denominator D, checked to sum to D^t.  holds is
+    the predicate's summary_test.  stable (once true, the predicate stayed
+    true) is False exactly when a reachable step goes from a state where
+    holds is true to one where it is not.  The caller validates its
+    arguments and charges the budget.
     """
     record = CHAINS[chain]
     branches, denom = record.branches(n)
     advance = record.advance
+    holds = summary_test(predicate, n)
     start = None if predicate.kind == "always" else record.start_summary
-    states = {(identity_deck(n), start, False): 1}
-    stable = True
-    for step in range(t + 1):
+    states = {(identity_deck(n), start): 1}
+    # after_true holds the states one step after a true one; always is never watched
+    stable, watching, after_true = True, start is not None, set()
+    for _ in range(t):
         nxt: dict = {}
-        for (deck, summary, seen), count in states.items():
-            holds = _summary_holds(predicate, deck, summary)
-            if seen and not holds:
-                stable = False
-            if step == t:
-                key = (deck, holds)
-                nxt[key] = nxt.get(key, 0) + count
-                continue
-            seen = seen or holds
+        true_before, after_true = after_true, set()
+        for state, count in states.items():
+            held = holds(*state)
+            if not held and state in true_before:
+                stable = watching = False
+            deck, summary = state
+            watched = held and watching
             for move, m in branches:
-                new_deck, new_summary = advance(deck, summary, move)
-                key = (new_deck, new_summary, seen)
+                key = advance(deck, summary, move)
                 nxt[key] = nxt.get(key, 0) + count * m
+                if watched:
+                    after_true.add(key)
         states = nxt
+    stable = stable and all(holds(*state) for state in after_true)
     total = sum(states.values())
     if total != denom ** t:
         raise InvariantError(f"lumped counts sum to {total}, not {denom}^{t}")
-    return states, stable
+    return states, holds, stable
 
 
 def check_strong_stationarity(chain: str, n: int, t: int,
@@ -314,8 +318,9 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     whether the predicate, once true along a path, stayed true.
 
     Runs the lumped count; the budget is charged for the paths it stands
-    for, past the dense range (n > MAX_DENSE_N) for the cards of that many
-    lumped decks too, then for the stationary law's support.
+    for over max(t, 1) steps, past the dense range (n > MAX_DENSE_N) for
+    the cards of that many lumped decks too, then for the stationary law's
+    support.
     enumerate_paths gives the same report path by path.
     """
     validate_statistic_kind(statistic, n)
@@ -324,24 +329,24 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     if n > MAX_DENSE_N:
         # a lumped state holds a whole deck, so past the dense range the
         # paths' n-card decks, not the paths, bound the count's memory
-        require_within_budget(path_count(chain, n, t) * n, f"lumped decks {chain} n={n} t={t}",
-                              "use Monte-Carlo mode")
+        require_within_budget(path_count(chain, n, max(t, 1)) * n,
+                              f"lumped decks {chain} n={n} t={t}", "use Monte-Carlo mode")
     # charged before the lumped count, so a support over the budget is refused before any work
     target = stationary_statistic_distribution(n, statistic)
-    counts, stable = _lumped_counts(chain, n, t, predicate)
-    tally = statistic_tally(
-        statistic, ((deck, count) for (deck, holds), count in counts.items() if holds))
+    counts, holds, stable = _lumped_counts(chain, n, t, predicate)
+    satisfied: dict = {}  # deck -> paths, so a deck with several summaries is evaluated once
+    for (deck, summary), count in counts.items():
+        if holds(deck, summary):
+            satisfied[deck] = satisfied.get(deck, 0) + count
+    tally = statistic_tally(statistic, satisfied.items())
     hits = sum(tally.values())
     if hits == 0:
         raise ValueError("predicate never satisfied")
     q = Fraction(hits, sum(counts.values()))
     conditional = law_from_tally(tally, hits)
-    cond_map = conditional.as_mapping()
-    target_map = target.as_mapping()
-    union = set(cond_map) | set(target_map)
-    deviation = max(
-        abs(cond_map.get(v, Fraction(0)) - target_map.get(v, Fraction(0))) for v in union
-    )
+    cond_map, target_map = conditional.as_mapping(), target.as_mapping()
+    deviation = max(abs(cond_map.get(v, Fraction(0)) - target_map.get(v, Fraction(0)))
+                    for v in set(cond_map) | set(target_map))
     certified = deviation == 0
     return SSTReport(
         q=q,
@@ -372,7 +377,7 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
         raise ValueError("t must be nonnegative")
     require_within_budget(factorial(n) * CHAINS[chain].branch_count(n) * max(t, 1),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
-    counts, _ = _lumped_counts(chain, n, t, ALWAYS)
+    counts, _, _ = _lumped_counts(chain, n, t, ALWAYS)
     tally = statistic_tally(statistic, ((deck, count) for (deck, _), count in counts.items()))
     total = sum(counts.values())
     return Distribution(stationary.support,
@@ -476,10 +481,10 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
     """Estimate q and the conditional law from seeded samples.
 
     Each sample is one seeded t-step path, settled in one pass into the
-    lumped (deck, summary) state the certification DP would step it to, and
-    the predicate is decided on that state.
-    Reports point estimates with a 95% Wilson interval for q.  Sampling can
-    refute nothing and certify nothing; certifies is always False.
+    lumped (deck, summary) state the certification DP would step it to and
+    decided there by the count's summary_test.  Reports point estimates
+    with a 95% Wilson interval for q.  Sampling can refute nothing and
+    certify nothing; certifies is always False.
     """
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
@@ -490,16 +495,11 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     record = CHAINS[chain]
-    settle = record.settle
-    paths = itertools.islice(record.paths(n, t, random.Random(seed)), samples)
-
-    def satisfying():
-        for path in paths:
-            deck, summary = settle(n, path)
-            if _summary_holds(predicate, deck, summary):
-                yield deck, 1
-
-    tally = statistic_tally(statistic, satisfying())
+    holds = summary_test(predicate, n)
+    states = map(record.settle, itertools.repeat(n),
+                 itertools.islice(record.paths(n, t, random.Random(seed)), samples))
+    tally = statistic_tally(statistic, ((deck, 1) for deck, summary in states
+                                        if holds(deck, summary)))
     satisfied = sum(tally.values())
     freq = {v: tally[v] / satisfied for v in sorted(tally, key=_canon_key)} if satisfied else {}
     return MonteCarloReport(

@@ -10,7 +10,7 @@ import pytest
 
 from mixscope import shuffles
 from mixscope.shuffles import CHAINS
-from mixscope.verify import enumerate_paths, path_count
+from mixscope.verify import PREDICATE_KINDS, enumerate_paths, path_count
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixscope"
 CHAIN_NAMES = ("rtt", "walk1", "riffle")
@@ -186,19 +186,19 @@ def _scoped_lines(tree, matches):
     return found
 
 
-def _chain_comparisons(tree):
-    """(line, enclosing class.function) of every comparison against a chain
-    name literal, bare or inside a tuple, list or set."""
+def _literal_comparisons(tree, names):
+    """(line, enclosing class.function) of every comparison against a literal
+    among names, bare or inside a tuple, list or set."""
 
-    def is_chain_literal(node):
+    def is_literal(node):
         if isinstance(node, ast.Constant):
-            return node.value in CHAIN_NAMES
+            return node.value in names
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(is_chain_literal(e) for e in node.elts)
+            return any(is_literal(e) for e in node.elts)
         return False
 
     return _scoped_lines(tree, lambda node: isinstance(node, ast.Compare) and any(
-        is_chain_literal(e) for e in (node.left, *node.comparators)))
+        is_literal(e) for e in (node.left, *node.comparators)))
 
 
 def _advance_reads(tree):
@@ -213,8 +213,25 @@ def test_no_chain_name_ladders(module):
     recorded strings exist for riffle paths compares a chain name."""
     tree = ast.parse((SRC / module).read_text(), filename=module)
     allowed = {"verify.py": {"Path.recorded_strings"}}.get(module, set())
-    found = _chain_comparisons(tree)
+    found = _literal_comparisons(tree, CHAIN_NAMES)
     assert [(line, scope) for line, scope in found if scope not in allowed] == []
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_predicate_kind_ladders(module):
+    """A predicate's kind is read once per request: by summary_test, the
+    compiler of the lumped test, by predicate_holds, the path oracle, and
+    by the lumped count's one check that always tracks no summary."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    found = [scope for _, scope in _literal_comparisons(tree, PREDICATE_KINDS)
+             if scope not in ("summary_test", "predicate_holds")]
+    assert found == (["_lumped_counts"] if module == "verify.py" else [])
+
+
+def test_predicate_ladder_check_sees_a_ladder():
+    tree = ast.parse("def f(pred, summary):\n    if pred.kind == 'k_distinct':\n"
+                     "        return len(summary)\n    return pred.kind in ('always', 'x')\n")
+    assert _literal_comparisons(tree, PREDICATE_KINDS) == [(2, "f"), (4, "f")]
 
 
 def _retired_move_kinds(tree):
@@ -239,7 +256,7 @@ def test_move_kind_check_sees_a_kind():
 def test_ladder_check_sees_a_ladder():
     tree = ast.parse("def f(chain):\n    if chain in ('rtt', 'walk1'):\n        return 1\n"
                      "    return chain != 'riffle'\n")
-    assert _chain_comparisons(tree) == [(2, "f"), (4, "f")]
+    assert _literal_comparisons(tree, CHAIN_NAMES) == [(2, "f"), (4, "f")]
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))

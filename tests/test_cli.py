@@ -693,6 +693,25 @@ class TestExitCodes:
             "message": f"path enumeration {chain} n=10 t={t} needs {paths} branches, "
                        "over the budget of 10000000; use Monte-Carlo mode"}
 
+    def test_zero_steps_are_charged_one_step_of_branches(self, capsys, monkeypatch):
+        """t = 0 has one path, but the count still lists one step's branches,
+        2^24 riffle columns here, so it is charged as one step and refused
+        before any branch is listed."""
+        def refuse(n):
+            raise AssertionError("the branches were listed")
+
+        monkeypatch.setitem(shuffles.CHAINS, "riffle",
+                            dataclasses.replace(shuffles.CHAINS["riffle"], branches=refuse))
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "sst-check", "--chain", "riffle", "--n", "24",
+                                 "--t", "0", "--statistic", "top_card", "--predicate", "always")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "capacity",
+            "message": f"path enumeration riffle n=24 t=0 needs {2 ** 24} branches, "
+                       "over the budget of 10000000; use Monte-Carlo mode"}
+
     def test_lumped_decks_are_charged_past_the_dense_range(self, capsys, monkeypatch):
         """Past n = 8 a certification is charged its paths times n, the cards
         of the lumped decks it may hold; up to n = 8 the paths alone."""

@@ -294,15 +294,17 @@ class TestWalk1Position:
 
 
 def oracle_predicates(chain, n):
-    """Every predicate kind, with parameters at both ends of their ranges."""
+    """Every predicate kind, with parameters at both ends of their ranges,
+    cards mid-deck and a card set without card 1."""
     if chain == "riffle":
-        return (["always", "riffle_set_strings_distinct:1",
+        return (["always", "riffle_set_strings_distinct:1", "riffle_set_strings_distinct:2",
                  f"riffle_set_strings_distinct:1,{n}"]
+                + ([f"riffle_set_strings_distinct:2,{n - 1}"] if n >= 4 else [])
                 + [f"riffle_first_j_strings_distinct:{j}" for j in range(1, n + 1)]
                 + [f"riffle_blocks_nonoverlapping:{b}"
                    for b in range(1, n + 1) if n % b == 0])
     return (["always", "all_chosen", "any_to_top", "card_chosen:1",
-             f"card_chosen:{n}", "any_of_chosen:1,2"]
+             f"card_chosen:{n}", "any_of_chosen:1,2", f"any_of_chosen:{n}"]
             + [f"k_distinct:{k}" for k in range(1, n + 1)]
             + [f"chosen_more_recently_than:{c},{k}" for c in (1, n) for k in range(1, n)])
 
