@@ -34,14 +34,14 @@ tail is checked, not assumed; see scripts/sweep_cycle_bounds.py for the
 systematic comparison.
 
 Each tail counts integer paths over 4^t on the smallest state space that
-is still exact.  The distance walk is killed the first time it sits
-2(2k-1) half-units from its start, so its position alone is the state: one
-strip of counts.  Coverage and vertex count depend on the whole visited
-window [l, r], so their engine, _halfstep_tail, keeps counts per window.
-Every tail is charged to the budget before it starts: its states x 2
-moves x 2 * horizon half-steps.  The windowed engine counts its states in
-closed form, without listing the windows, so a refused tail costs almost
-nothing.
+is still exact, and all three share one sweep, _sweep, over a fixed table
+of states.  The distance walk is killed the first time it sits 2(2k-1)
+half-units from its start, so its position alone is the state: the table
+is a strip.  Coverage and vertex count depend on the whole visited window
+[l, r], so _halfstep_tail numbers every (window, position) state.  Every
+tail is charged to the budget before it starts: its states x 2 moves x
+2 * horizon half-steps.  The windows' states are counted in closed form
+before any window is listed, so a refused tail costs almost nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from operator import add, itemgetter
 
 from .budget import require_within_budget
 from .dist import Distribution, Kernel
@@ -268,11 +269,24 @@ def _decomposition_members(coloring: tuple, sets) -> list:
     return out
 
 
-def _halfstep(counts: list) -> list:
-    """One half-step on a strip of positions: c'(x) = c(x-1) + c(x+1), with
-    the mass that steps past either end dropped."""
-    padded = [0, *counts, 0]
-    return [a + b for a, b in zip(padded, padded[2:])]
+def _sweep(before: list, after: list, start: int, horizon: int) -> list:
+    """Pr(T > t), t = 0..horizon, from integer path counts on a fixed table.
+
+    A half-step gives state i the counts of states before[i] and after[i],
+    the two that move into it (from x - 1 and x + 1 on a strip).  Index
+    len(before) is a slot that feeds only itself, so it stays 0: absorbed
+    or missing neighbours point there.  The walk starts in state `start`.
+    """
+    zero = len(before)
+    feed_before, feed_after = itemgetter(*before, zero), itemgetter(*after, zero)
+    counts = [0] * (zero + 1)
+    counts[start] = 1
+    tails = [Fraction(1)]
+    for t in range(1, horizon + 1):
+        for _ in range(2):
+            counts = [*map(add, feed_before(counts), feed_after(counts))]
+        tails.append(Fraction(sum(counts), 4 ** t))
+    return tails
 
 
 def _alive_states(horizon: int, absorbed) -> int:
@@ -302,45 +316,36 @@ def _alive_states(horizon: int, absorbed) -> int:
 
 
 def _halfstep_tail(coloring, x0, horizon, absorbed, name):
-    """Windowed engine for the coverage and vertex-count tails.
+    """Window-table engine for the coverage and vertex-count tails.
 
-    Runs the refined half-step walk with integer path counting and drops
-    mass the moment `absorbed(l, r)` holds for the visited window [l, r]
-    (half-units relative to the start).  Counts are kept per window, indexed
-    by x - l; only x = l and x = r can open a wider window.  Charged first,
-    as the alive windows' states (_alive_states) x 2 moves x 2 * horizon
-    half-steps.  Returns Pr(T > t) for lazy times t = 0..horizon, reading
-    the alive mass after 2t half-steps.
+    Charged first, as the alive windows' states (_alive_states) x 2 moves
+    x 2 * horizon half-steps.  Then state (l, r, x) of an alive window
+    [l, r] (half-units from the start) is numbered first[l, r] + x, windows
+    in the order _alive_states counts them, and the zero slot `states`.
+    State x is fed from x - 1 and x + 1 of its window, except at an end:
+    x = l by the narrower window [l + 1, r] at l + 1, x = r by [l, r - 1]
+    at r - 1, and [0, 0] by the zero slot.  Mass that steps into a window
+    where `absorbed(l, r)` holds has no state, so it is dropped.
     """
     validate_coloring(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
-    require_within_budget(_alive_states(horizon, absorbed) * 2 * 2 * horizon,
-                          f"{name} tail on {size} vertices to t={horizon}",
+    states = _alive_states(horizon, absorbed)
+    require_within_budget(states * 2 * 2 * horizon, f"{name} tail on {size} vertices to t={horizon}",
                           "use a shorter horizon")
-    if absorbed(0, 0):
+    if not states:
         return [Fraction(0)] * (horizon + 1)
-    # alive window -> its (left, right) wider windows, None where absorbed
-    opens = {}
-    alive = {(0, 0): [1]}
-    tails = [Fraction(1)]
-    for t in range(1, horizon + 1):
-        for _ in range(2):
-            nxt = {window: _halfstep(counts) for window, counts in alive.items()}
-            for window, counts in alive.items():
-                wider = opens.get(window)
-                if wider is None:
-                    l, r = window
-                    wider = opens[window] = tuple(None if absorbed(*w) else w
-                                                  for w in ((l - 1, r), (l, r + 1)))
-                left, right = wider
-                if left is not None and counts[0]:
-                    nxt.setdefault(left, [0] * (len(counts) + 1))[0] += counts[0]
-                if right is not None and counts[-1]:
-                    nxt.setdefault(right, [0] * (len(counts) + 1))[-1] += counts[-1]
-            alive = nxt
-        tails.append(Fraction(sum(map(sum, alive.values())), 4 ** t))
-    return tails
+    first, before, after = {}, [], []
+    for l in range(0, -2 * horizon - 1, -1):
+        for r in range(2 * horizon + l + 1):
+            if absorbed(l, r):
+                break
+            base = first[l, r] = len(before) - l
+            before += [first[l + 1, r] + l + 1 if l else states, *range(base + l, base + r)]
+            after += [*range(base + l + 1, base + r + 1), first[l, r - 1] + r - 1 if r else states]
+        if (l, 0) not in first:
+            break
+    return _sweep(before, after, 0, horizon)
 
 
 def _coverage_reach(members: list, size: int) -> list:
@@ -417,24 +422,19 @@ def distance_moved_tail(coloring: tuple, x0: int, horizon: int):
 
     The walk is killed the first time it sits need = 2(2k-1) half-units
     from its start (gambler's ruin on a strip), so its position alone is
-    the state: one list of 2 * need - 1 counts over the positions strictly
-    inside, swept two half-steps per lazy step.  Charged to the budget as
-    those positions x 2 moves x 2 * horizon half-steps.
+    the state: _sweep runs a strip table of the width = 2 * need - 1
+    positions strictly inside.  Charged to the budget as those positions
+    x 2 moves x 2 * horizon half-steps.
     """
     k = compute_k(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
     need = 2 * (2 * k - 1)
-    require_within_budget((2 * need - 1) * 2 * 2 * horizon,
+    width = 2 * need - 1
+    require_within_budget(width * 2 * 2 * horizon,
                           f"distance-moved tail on {size} vertices to t={horizon}",
                           "use a shorter horizon")
-    counts = [0] * (2 * need - 1)
-    counts[need - 1] = 1
-    tails = [Fraction(1)]
-    for t in range(1, horizon + 1):
-        counts = _halfstep(_halfstep(counts))
-        tails.append(Fraction(sum(counts), 4 ** t))
-    return tails
+    return _sweep([width, *range(width - 1)], [*range(1, width), width], need - 1, horizon)
 
 
 def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):

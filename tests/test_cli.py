@@ -157,6 +157,34 @@ def test_float_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# SHA-256 of exact cycle reports at long horizons, whose tails and margins are
+# rationals of hundreds of digits: pinned while the coverage and vertex-count
+# tails still kept their counts in per-window lists
+LONG_HORIZON_PINS = [
+    (("cycle", "--coloring", "BRBBRBRBRRBR", "--x0", "9", "--horizon", "300",
+      "--sets", "0,11;1,2;3,4;5,6;7,8;9,10"),
+     "f6da8fc47e49c6dd07fbf15fcc11de6a3f5e0920fd475a3b2b79a784f12eb6b2",
+     "80976eec69794547e379de53193fa4bc44ee214f3936ca1a8a016ae68fbb6345"),
+    (("cycle", "--coloring", "RBRBRBRBBRBRRBBRBRRBRBBR", "--x0", "4", "--horizon", "600",
+      "--chebyshev", "1.5,2,3"),
+     "fec24a145426b28371d7d7403e8573a9f9f4fb3b3ceb2ed54d2845f184e0dfbf",
+     "a9a4b72c0db8b35e003f2a061db7780a3a99900e555bc6d07b22e439e64454e6"),
+    (("cycle", "--coloring", "RRBBRBRRBBRB", "--x0", "0", "--horizon", "300"),
+     "339ee5b27fe36e144dde6c668bfdc2e0f253fc63f907541acd92665b890c03c8",
+     "a5aa2042d7569a693a8bb98361fd2359dadfea4da9d5ad6b931b24ac3e5e024d"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,json_sha,csv_sha", LONG_HORIZON_PINS,
+                         ids=["cycle-12-sets", "cycle-24-chebyshev", "cycle-12"])
+def test_long_horizon_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    expected = json_sha if fmt == "json" else csv_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 # SHA-256 of the seeded Monte Carlo report bytes, pinned while the sampler
 # still built a Path per sample: stepping the lumped (deck, summary) state
 # must draw the same random numbers and count the same samples
@@ -574,9 +602,19 @@ class TestExitCodes:
     def test_wide_tail_is_refused_before_listing_windows(self, capsys, monkeypatch):
         """An 800-vertex coverage tail is charged from a count over its left
         ends, a few thousand rule calls rather than one per alive window
-        (about 1.4 million), and refused before any half-step runs."""
-        real_tail = cycle._halfstep_tail
+        (about 320,000), and refused before any window is listed: every
+        rule call comes from the closed-form count, and no table is swept."""
+        real_tail, real_states = cycle._halfstep_tail, cycle._alive_states
         calls = 0
+        counting = False
+
+        def counting_states(horizon, absorbed):
+            nonlocal counting
+            counting = True
+            try:
+                return real_states(horizon, absorbed)
+            finally:
+                counting = False
 
         def counting_tail(coloring, x0, horizon, absorbed, name):
             def rule(l, r):
@@ -584,14 +622,17 @@ class TestExitCodes:
                 calls += 1
                 if calls > 50_000:
                     raise AssertionError("the absorption rule ran once per window")
+                if not counting:
+                    raise AssertionError("a window was listed outside the charge")
                 return absorbed(l, r)
             return real_tail(coloring, x0, horizon, rule, name)
 
-        def no_halfstep(counts):
-            raise AssertionError("a half-step ran before the refused charge")
+        def no_sweep(before, after, start, horizon):
+            raise AssertionError("a table was swept before the refused charge")
 
         monkeypatch.setattr(cycle, "_halfstep_tail", counting_tail)
-        monkeypatch.setattr(cycle, "_halfstep", no_halfstep)
+        monkeypatch.setattr(cycle, "_alive_states", counting_states)
+        monkeypatch.setattr(cycle, "_sweep", no_sweep)
         monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
         code, out, err = run_cli(capsys, "cycle", "--coloring", "R" * 400 + "B" * 400,
                                  "--x0", "0", "--horizon", "1000")

@@ -216,9 +216,9 @@ def listed_window_states(horizon, absorbed):
 
 
 class TestTailsMatchStateEngine:
-    """Each tail walks a reduced state space: the distance tail a strip of
-    positions, coverage and vertex count positions grouped by window.
-    Both must give the (l, r, x) engine's Fractions exactly."""
+    """Each tail sweeps a reduced state table: the distance tail a strip of
+    positions, coverage and vertex count every (window, position) state of
+    an alive window.  Both must give the (l, r, x) engine's Fractions exactly."""
 
     @pytest.mark.parametrize("size,starts,horizon",
                              [(4, (0, 1), 12), (6, (0, 1), 12), (8, (0, 1), 12), (10, (0,), 8)])
@@ -237,21 +237,37 @@ class TestTailsMatchStateEngine:
                               (4, (0, 1), 1), (6, (0, 1), 2), (8, (0, 1), 3)])
     def test_charge_counts_the_listed_windows(self, monkeypatch, size, starts, horizon):
         """The closed-form window count behind each charge equals the count
-        of the windows listed one by one with the reference rules."""
-        charges = []
+        of the windows listed one by one with the reference rules, and each
+        tail sweeps a table of exactly the states it was charged for."""
+        charges, tables = [], []
+        real_sweep = cycle._sweep
+
+        def sizing_sweep(before, after, start, horizon):
+            tables.append(len(before))
+            return real_sweep(before, after, start, horizon)
+
         monkeypatch.setattr(cycle, "require_within_budget",
                             lambda needed, what, hint: charges.append((needed, what)))
+        monkeypatch.setattr(cycle, "_sweep", sizing_sweep)
         for reds in combinations(range(size), size // 2):
             coloring = tuple("R" if v in reds else "B" for v in range(size))
             for x0 in starts:
                 charges.clear()
+                tables.clear()
                 coverage_time_tail(coloring, x0, horizon)
                 vertex_count_tail(coloring, x0, horizon)
+                distance_moved_tail(coloring, x0, horizon)
                 covered, counted, _ = reference_rules(coloring, x0)
+                strip = 2 * (2 * (2 * compute_k(coloring) - 1)) - 1
                 expected = [listed_window_states(horizon, rule) * 2 * 2 * horizon
-                            for rule in (covered, counted)]
+                            for rule in (covered, counted)] + [strip * 2 * 2 * horizon]
                 assert [needed for needed, _ in charges] == expected, ("".join(coloring), x0)
-                assert [what.split()[0] for _, what in charges] == ["coverage", "vertex-count"]
+                assert [what.split()[0] for _, what in charges] == \
+                    ["coverage", "vertex-count", "distance-moved"]
+                # a tail absorbed at its start sweeps no table
+                swept = [cycle._alive_states(horizon, rule) for rule in (covered, counted)
+                         if not rule(0, 0)]
+                assert tables == swept + [strip], ("".join(coloring), x0)
 
     @pytest.mark.parametrize("marks", ["RRRRRRBBBBBB", "RRBRBBRRBRBB"])
     def test_short_horizons(self, marks):
