@@ -441,8 +441,22 @@ def _error_line(code: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
 
 
+_parser = None  # built by the first main() call, reused by every later one
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one request and return its exit code.
+
+    May be called any number of times in one process; the argument parser
+    is built once, on the first call.  Returns 0 on success, 2 for a usage
+    error found after parsing, 3 when the enumeration budget is exceeded
+    and 4 for an internal error.  As with any argparse program, a syntax
+    error raises SystemExit(2), and --help and --version raise SystemExit(0).
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         enumeration_budget()
         _validate(args)

@@ -1,18 +1,20 @@
 """End-to-end command-line checks: schemas, determinism, exit codes."""
 
+import collections
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from mixscope import cli, cycle, shuffles, verify
+from mixscope import __version__, cli, cycle, shuffles, verify
 from mixscope.cli import _jsonable, main
 from mixscope.dist import InvariantError, parse_rational
 
@@ -856,6 +858,99 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "3",
                              "--t", "-1", "--statistic", "top_card")
         assert code == 2
+
+
+def request(capsys, argv):
+    """(exit code, stdout, stderr with the timing stripped) of one main() call;
+    an argparse exit counts as its SystemExit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, re.sub(r"finished in [0-9.]+s", "finished", captured.err)
+
+
+EXACT = ("stat-mix", "--chain", "rtt", "--n", "3", "--t", "2", "--statistic", "parity")
+SAMPLED = EXACT + ("--samples", "50", "--seed", "1")
+SST = ("sst-check", "--chain", "rtt", "--n", "3", "--t", "2", "--statistic", "top_card",
+       "--predicate", "always")
+SST_CSV_FLOAT = SST + ("--format", "csv", "--float")
+CYCLE = ("cycle", "--coloring", "RRBRBB", "--x0", "1", "--horizon", "4")
+CYCLE_CHEBYSHEV = CYCLE + ("--chebyshev", "1,2")
+DECOMPOSE = ("decompose", "--coloring", "RRBRBB")
+COUNTEREXAMPLE = ("counterexample",)
+COUNTEREXAMPLE_P0 = ("counterexample", "--n", "5", "--t", "3", "--p0", "2")
+EXACT_FLAG = EXACT + ("--exact",)
+NO_PREDICATE = SST[:-2]
+UNKNOWN_SUBCOMMAND = ("frog",)
+BAD_CHAIN = ("stat-mix", "--chain", "frog", "--n", "3", "--t", "2", "--statistic", "parity")
+VERSION = ("--version",)
+
+
+class TestOneParserPerProcess:
+    """main() builds its parser on the first call and reuses it; a reused
+    parser carries nothing from one request to the next."""
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for argv in (EXACT, SST, CYCLE, DECOMPOSE, COUNTEREXAMPLE_P0, UNKNOWN_SUBCOMMAND):
+            request(capsys, argv)
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    # Each request recurs after others that set options it leaves at their
+    # defaults, and after every kind of failed request.
+    SEQUENCE = (
+        (EXACT, 0), (SAMPLED, 0), (EXACT, 0),
+        (SST, 0), (SST_CSV_FLOAT, 0), (SST, 0),
+        (CYCLE, 0), (CYCLE_CHEBYSHEV, 0), (CYCLE, 0), (CYCLE_CHEBYSHEV, 0),
+        (COUNTEREXAMPLE, 0), (COUNTEREXAMPLE_P0, 0), (COUNTEREXAMPLE, 0),
+        (DECOMPOSE, 0),
+        (EXACT_FLAG, 2), (EXACT, 0), (EXACT_FLAG, 2),
+        (NO_PREDICATE, 2), (SST, 0), (NO_PREDICATE, 2),
+        (UNKNOWN_SUBCOMMAND, 2), (DECOMPOSE, 0), (UNKNOWN_SUBCOMMAND, 2),
+        (BAD_CHAIN, 2), (SAMPLED, 0), (BAD_CHAIN, 2),
+        (VERSION, 0), (COUNTEREXAMPLE_P0, 0), (VERSION, 0), (SST_CSV_FLOAT, 0),
+    )
+
+    def test_repeated_requests_match_their_first_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        first = {}
+        for argv, code in self.SEQUENCE:
+            result = request(capsys, argv)
+            assert result[0] == code, (argv, result[2])
+            assert result == first.setdefault(argv, result), argv
+        assert min(collections.Counter(argv for argv, _ in self.SEQUENCE).values()) >= 2
+
+    def test_first_runs_are_what_they_claim(self, capsys):
+        assert json.loads(request(capsys, EXACT)[1])["config"]["mode"] == "exact"
+        assert json.loads(request(capsys, SAMPLED)[1])["config"]["mode"] == "monte-carlo"
+        assert request(capsys, SST)[1].startswith("{")
+        assert not request(capsys, SST_CSV_FLOAT)[1].startswith("{")
+        assert "chebyshev" not in request(capsys, CYCLE)[1]
+        assert "chebyshev" in request(capsys, CYCLE_CHEBYSHEV)[1]
+        assert json.loads(request(capsys, COUNTEREXAMPLE)[1])["config"]["n"] == 52
+        code, out, _ = request(capsys, VERSION)
+        assert (code, out.strip()) == (0, __version__)
+        err = request(capsys, BAD_CHAIN)[2]
+        assert json.loads(err.splitlines()[0])["error"]["code"] == "usage"
+        for argv, message in ((EXACT_FLAG, "unrecognized arguments: --exact"),
+                              (NO_PREDICATE, "required: --predicate"),
+                              (UNKNOWN_SUBCOMMAND, "invalid choice: 'frog'")):
+            code, out, err = request(capsys, argv)
+            assert (code, out) == (2, "")
+            assert message in err
 
 
 def test_console_entry_point():
