@@ -30,9 +30,13 @@ n-byte column of 0/1 values; a path is its moves concatenated.
 
 A record's advance steps one lumped (deck, summary) state a move at a
 time; only verify's one lumped count uses it.  The sampler
-takes whole paths instead: a record draws seeded t-step paths in blocks of
-generator outputs, and its settle gives each path's lumped state in one
-pass.
+takes whole paths instead: a record draws seeded t-step paths, taking the
+generator outputs random.Random's randrange, random and choice would take,
+and its settle gives each path's lumped state in one pass.  Paths are
+hashable: rtt paths are bytes of card labels below 256 cards (each card
+read off an output's top byte) and tuples from 256 on, walk1 paths are
+tuples (randrange inlined as getrandbits until below n), riffle paths are
+bytes.
 
 Each statistic and predicate kind maps to a rule of PARAMETER_RULES,
 checked by validate_kind; statistic_tally is the one loop evaluating a
@@ -433,8 +437,9 @@ class Chain:
     A move has one encoding, shared by the branches, both steps and the
     seeded paths: a card-choice move is the chosen card's label, 0 for
     top-to-bottom; a riffle move is an n-byte column of 0/1 values, byte
-    c - 1 for card c.  A path is its moves concatenated: a list of labels,
-    or the columns' bytes, earliest step first.
+    c - 1 for card c.  A path is its moves concatenated, earliest step
+    first: the labels as bytes (rtt below 256 cards) or a tuple (rtt from
+    256 cards, walk1), or the columns' bytes.
     """
 
     family: str  # how errors name the chains its predicates apply to
@@ -498,16 +503,17 @@ def _riffle_advance(deck: tuple, summary, column: bytes) -> tuple:
 # The seeded paths: these draws, in this order, fix every sampled payload.
 # They are the generator outputs random.Random's own calls would take.
 # randrange(n) takes 32-bit outputs w until r = w >> (32 - n.bit_length())
-# falls below n, that is until w < n << (32 - n.bit_length()); choice("01")
-# is randrange(2), which takes w until its top byte is below 128 and gives
-# the bit top_byte >> 6.  One getrandbits(32 * words) call, read as
-# little-endian bytes, holds the next outputs in the order they were made,
-# on any platform.  A path is its record's moves concatenated (see Chain).
+# falls below n, that is until w < n << (32 - n.bit_length()).  For n < 256
+# the top byte b of w decides alone: the draw is b >> (8 - n.bit_length()),
+# rejected exactly when b >= n << (8 - n.bit_length()), so one bytes
+# translate reads a whole block; choice("01") is randrange(2).  walk1's
+# randrange(n) is inlined as random.Random's own: getrandbits(n.bit_length())
+# until below n.  One getrandbits(32 * words) call, read as little-endian
+# bytes, holds the next outputs in the order they were made, on any
+# platform.  A path is its record's moves concatenated (see Chain): bytes
+# for the riffle and for rtt below 256 cards, else a tuple of labels.
 
 _BLOCK_WORDS = 512  # generator outputs per getrandbits call, at least
-
-_TOP_BYTE_BIT = bytes(b >> 6 for b in range(256))
-_TOP_BYTE_REJECTED = bytes(range(128, 256))
 
 
 def _output_blocks(rng, length: int):
@@ -520,20 +526,25 @@ def _output_blocks(rng, length: int):
         yield rng.getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
+def _byte_blocks(n: int, rng, length: int, first: int):
+    """Blocks of the values rng.randrange(n) + first would draw, in order,
+    one byte each, read off each output's top byte (n + first <= 256)."""
+    shift = 8 - n.bit_length()
+    values = bytes(((b >> shift) + first) % 256 for b in range(256))  # rejected ones may wrap
+    rejected = bytes(range(n << shift, 256))
+    for block in _output_blocks(rng, length):
+        yield block[3::4].translate(values, rejected)
+
+
 def _card_blocks(n: int, rng, length: int):
-    """Blocks of the cards rng.randrange(n) + 1 would draw, in order."""
+    """Blocks of the cards rng.randrange(n) + 1 would draw, in order: bytes
+    for n < 256, else tuples read off whole words."""
+    if n < 256:
+        return _byte_blocks(n, rng, length, 1)
     shift = 32 - n.bit_length()
     bound = n << shift
-    for block in _output_blocks(rng, length):
-        words = struct.unpack(f"<{len(block) // 4}I", block)
-        yield [(w >> shift) + 1 for w in words if w < bound]
-
-
-def _bit_blocks(rng, length: int):
-    """Blocks of the bits int(rng.choice("01")) would draw, in order, one
-    byte per bit."""
-    for block in _output_blocks(rng, length):
-        yield block[3::4].translate(_TOP_BYTE_BIT, _TOP_BYTE_REJECTED)
+    blocks = (struct.unpack(f"<{len(b) // 4}I", b) for b in _output_blocks(rng, length))
+    return (tuple([(w >> shift) + 1 for w in words if w < bound]) for words in blocks)
 
 
 def _cut(blocks, length: int, rest):
@@ -550,17 +561,28 @@ def _cut(blocks, length: int, rest):
 
 
 def _rtt_paths(n: int, t: int, rng):
-    return _cut(_card_blocks(n, rng, t), t, [])
+    return _cut(_card_blocks(n, rng, t), t, b"" if n < 256 else ())
 
 
 def _walk1_paths(n: int, t: int, rng):
-    random, randrange = rng.random, rng.randrange
+    random, getrandbits = rng.random, rng.getrandbits
+    k = n.bit_length()  # not (n - 1).bit_length(): a power of two rejects half, as randrange does
     while True:
-        yield [0 if random() < 0.5 else randrange(n) + 1 for _ in range(t)]
+        path = []
+        for _ in range(t):
+            if random() < 0.5:
+                path.append(0)
+            else:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                path.append(r + 1)
+        yield tuple(path)
 
 
 def _riffle_paths(n: int, t: int, rng):
-    return _cut(_bit_blocks(rng, n * t), n * t, b"")
+    # the bits int(rng.choice("01")) would draw: randrange(2)
+    return _cut(_byte_blocks(2, rng, n * t, 0), n * t, b"")
 
 
 # Each settle gives the (deck, summary) folding the record's advance over

@@ -29,9 +29,10 @@ step's branches, both over max(t, 1) steps; the dense kernels in shuffles
 are the law's oracle.
 
 A seeded Monte-Carlo fallback estimates the same quantities but never
-certifies; it settles each sampled path into the DP's lumped (deck,
-summary) state with the record's settle and decides it with the same
-test.  Only the lumped count steps with the record's advance.
+certifies; it counts the sampled paths a chunk at a time, settles each
+distinct path of a chunk once into the DP's lumped (deck, summary) state
+with the record's settle, decides it with the same test and weighs it by
+its multiplicity.  Only the lumped count steps with the record's advance.
 
 Path enumeration is the independent oracle, used by no report: every path
 with its rational weight, predicates evaluated on full path prefixes
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
@@ -454,6 +456,9 @@ def walk1_position_distribution(n: int, t: int, p0: int) -> Distribution:
 
 # Seeded Monte-Carlo fallback: estimates, never certificates.
 
+_CHUNK = 1024  # sampled paths counted at a time; each distinct one is settled once
+
+
 @dataclass(frozen=True)
 class MonteCarloReport:
     samples: int
@@ -480,9 +485,12 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
                             seed: int) -> MonteCarloReport:
     """Estimate q and the conditional law from seeded samples.
 
-    Each sample is one seeded t-step path, settled in one pass into the
-    lumped (deck, summary) state the certification DP would step it to and
-    decided there by the count's summary_test.  Reports point estimates
+    Each sample is one seeded t-step path.  The paths are counted _CHUNK
+    at a time, and each distinct path of a chunk is settled once into the
+    lumped (deck, summary) state the certification DP would step it to,
+    decided there by the count's summary_test and weighed by how often it
+    was drawn, so every count is that of one settle per sample and no more
+    than a chunk of paths is held.  Reports point estimates
     with a 95% Wilson interval for q.  Sampling can refute nothing and
     certify nothing; certifies is always False.
     """
@@ -495,10 +503,11 @@ def monte_carlo_conditional(chain: str, n: int, t: int, predicate: Kind,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     record = CHAINS[chain]
-    holds = summary_test(predicate, n)
-    states = map(record.settle, itertools.repeat(n),
-                 itertools.islice(record.paths(n, t, random.Random(seed)), samples))
-    tally = statistic_tally(statistic, ((deck, 1) for deck, summary in states
+    settle, holds = record.settle, summary_test(predicate, n)
+    paths = itertools.islice(record.paths(n, t, random.Random(seed)), samples)
+    chunks = (Counter(itertools.islice(paths, _CHUNK)) for _ in range(0, samples, _CHUNK))
+    states = ((settle(n, path), count) for chunk in chunks for path, count in chunk.items())
+    tally = statistic_tally(statistic, ((deck, count) for (deck, summary), count in states
                                         if holds(deck, summary)))
     satisfied = sum(tally.values())
     freq = {v: tally[v] / satisfied for v in sorted(tally, key=_canon_key)} if satisfied else {}

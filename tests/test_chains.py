@@ -100,16 +100,18 @@ def first_draws(blocks, count):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 128, 255, 256, 257,
+                               1000])
 def test_block_readers_take_the_stdlib_draws(n, seed):
     """The block readers give the values rng.randrange(n) and
-    rng.choice("01") give on a fresh generator, across block boundaries."""
+    rng.choice("01") give on a fresh generator, across block boundaries,
+    on both card routes: top bytes below n = 256, whole words from it."""
     rng = random.Random(seed)
     expected = [rng.randrange(n) + 1 for _ in range(2000)]
     assert first_draws(shuffles._card_blocks(n, random.Random(seed), n), 2000) == expected
     rng = random.Random(seed)
     expected = [int(rng.choice("01")) for _ in range(2000)]
-    assert first_draws(shuffles._bit_blocks(random.Random(seed), n), 2000) == expected
+    assert first_draws(shuffles._byte_blocks(2, random.Random(seed), n, 0), 2000) == expected
 
 
 class ScriptedWords(random.Random):
@@ -128,10 +130,11 @@ class ScriptedWords(random.Random):
         return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 31, 32, 33])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 31, 32, 33, 128, 255, 256, 257, 1000])
 def test_block_readers_take_the_boundary_words_as_the_stdlib(n):
     """Words at and around each acceptance bound are taken or rejected
-    exactly as randrange(n) and choice("01") take or reject them."""
+    exactly as randrange(n) and choice("01") take or reject them; below
+    n = 256 the word n << shift is the one whose top byte is the byte bound."""
     shift = 32 - n.bit_length()
     edges = [0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, (n << shift) - 1, n << shift,
              (n << shift) + 1, (1 << 24) * 127, (1 << 24) * 128 - 1, (1 << 24) * 128]
@@ -141,22 +144,43 @@ def test_block_readers_take_the_boundary_words_as_the_stdlib(n):
     assert first_draws(shuffles._card_blocks(n, ScriptedWords(words), 1), 20) == expected
     rng = ScriptedWords(words)
     expected = [int(rng.choice("01")) for _ in range(20)]
-    assert first_draws(shuffles._bit_blocks(ScriptedWords(words), 1), 20) == expected
+    assert first_draws(shuffles._byte_blocks(2, ScriptedWords(words), 1, 0), 20) == expected
 
 
-@pytest.mark.parametrize("chain", ["rtt", "riffle"])
+@pytest.mark.parametrize("chain", CHAIN_NAMES)
 @pytest.mark.parametrize("t", [0, 1, 7, 700])
 def test_paths_are_the_draws_in_order(chain, t):
-    """Paths cut from blocks are consecutive runs of the stdlib draws, also
-    when one path needs more than a block; t = 0 gives empty paths."""
+    """Paths are consecutive runs of the stdlib draws, also when one path
+    needs more than a block; t = 0 gives empty paths."""
     n, seed = 5, 3
     paths = list(islice(CHAINS[chain].paths(n, t, random.Random(seed)), 4))
     rng = random.Random(seed)
     if chain == "riffle":
         expected = [[int(rng.choice("01")) for _ in range(n * t)] for _ in range(4)]
+    elif chain == "walk1":
+        expected = [[0 if rng.random() < 0.5 else rng.randrange(n) + 1 for _ in range(t)]
+                    for _ in range(4)]
     else:
         expected = [[rng.randrange(n) + 1 for _ in range(t)] for _ in range(4)]
     assert [list(path) for path in paths] == expected
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 300])
+def test_walk1_takes_the_boundary_words_as_the_stdlib(n):
+    """walk1's inlined card draw takes or rejects the words at and around
+    its acceptance bound as randrange(n) does, a power of two rejecting
+    half, and leaves the generator where randrange leaves it."""
+    shift = 32 - n.bit_length()
+    edges = [(n << shift) - 1, n << shift, (n << shift) + 1, 0, 2 ** 32 - 1, (n - 1) << shift]
+    words, t = edges * 4, 8
+    rng = ScriptedWords(words)
+    expected = [[0 if rng.random() < 0.5 else rng.randrange(n) + 1 for _ in range(t)]
+                for _ in range(4)]
+    drawn = ScriptedWords(words)
+    paths = islice(CHAINS["walk1"].paths(n, t, drawn), 4)
+    assert [list(path) for path in paths] == expected
+    assert list(drawn.words) == list(rng.words)
+    assert sum(card > 0 for path in expected for card in path) > 8
 
 
 @pytest.mark.parametrize("chain", CHAIN_NAMES)

@@ -228,6 +228,26 @@ SAMPLED_PINS = [
       "--samples", "300", "--seed", "15"),
      "2183122830b4ceb1f58180e56ef061c66482dace34f95b414394ce5e0b45ed28",
      "c28f611507e35af5d7fd180e36cad3f1ae591673380ad305d17b934b3f55871b"),
+    # pinned while every card was drawn by randrange: rtt draws read off whole
+    # words (n >= 256) and off top bytes up to n = 255, walk1's card draws
+    # past a byte, and a sample count far above the 3 distinct paths of
+    # rtt n=3 t=1
+    (("sst-check", "--chain", "rtt", "--n", "300", "--t", "40", "--statistic", "position_of:17",
+      "--predicate", "card_chosen:5", "--samples", "300", "--seed", "16"),
+     "fcbacecc8299b4b276a46ca3a35e14ad4281fcc1e316115c40bc2e89e1243432",
+     "920e782a697187f1bc624acc594719fc7a76e05eb77f3dbfbb71c7c89558d2bf"),
+    (("stat-mix", "--chain", "rtt", "--n", "255", "--t", "30", "--statistic", "top_card",
+      "--samples", "300", "--seed", "17"),
+     "fe47ec7cf538402e7e40489e19471a751258c881429fa57ab75c26652b29da93",
+     "c17a4d8b9dbef731143dd73af7e83b988d022d88ed4867250981ea5c4711a98b"),
+    (("sst-check", "--chain", "walk1", "--n", "300", "--t", "50", "--statistic", "top_k_order:2",
+      "--predicate", "chosen_more_recently_than:3,2", "--samples", "300", "--seed", "18"),
+     "85ff1fc069216714b4388a2c005a79691034d2b5ce4c9a7dfdef7064d04d70d3",
+     "907879b93c172112f4e6c8f512aa44dac84056f505969e20f8e94a624a9d11c1"),
+    (("sst-check", "--chain", "rtt", "--n", "3", "--t", "1", "--statistic", "top_card",
+      "--predicate", "any_to_top", "--samples", "5000", "--seed", "19"),
+     "aeb9c7ffeeda27e7de751e14897be5a721c58b8f1a57752c2b39146bab073983",
+     "e8b7256026ad5d10fbb95ef01cd5107589bacac0ef7d8408cbdc59b2da00b7bd"),
 ]
 
 
@@ -235,7 +255,9 @@ SAMPLED_PINS = [
 @pytest.mark.parametrize("argv,json_sha,csv_sha", SAMPLED_PINS,
                          ids=["sst-rtt-k_distinct", "sst-rtt-more_recently", "sst-walk1-any_of",
                               "sst-riffle-first_j", "sst-riffle-set", "sst-riffle-blocks",
-                              "stat-mix-rtt", "stat-mix-walk1", "stat-mix-riffle"])
+                              "stat-mix-rtt", "stat-mix-walk1", "stat-mix-riffle",
+                              "sst-rtt-300-words", "stat-mix-rtt-255-bytes", "sst-walk1-300",
+                              "sst-rtt-3-repeated"])
 def test_sampled_report_bytes_pinned(capsys, argv, json_sha, csv_sha, fmt):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0, err

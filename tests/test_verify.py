@@ -536,6 +536,37 @@ class TestSamplerMatchesPaths:
         assert kinds == set(PREDICATE_KINDS) - set(other)
 
 
+class TestChunkedCount:
+    """The sampler settles each distinct path of a chunk once and weighs it
+    by its multiplicity; the counts are those of one settle per sample."""
+
+    @pytest.mark.parametrize("chain,ptext", [("rtt", "k_distinct:2"), ("walk1", "any_to_top"),
+                                             ("riffle", "riffle_first_j_strings_distinct:1")])
+    def test_chunk_edges_match_the_path_replay(self, chain, ptext):
+        n, t, chunk = 3, 2, verify._CHUNK
+        pred, stat = parse_predicate(ptext, n, chain), parse_statistic("top_k_order:2", n)
+        for samples in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            rep = monte_carlo_conditional(chain, n, t, pred, stat, samples=samples, seed=samples)
+            expected = replay_path_sampler(chain, n, t, pred, stat, samples, samples)
+            assert (rep.satisfied, rep.conditional_freq) == expected, samples
+            assert rep.samples == samples
+
+    def test_each_distinct_path_of_a_chunk_is_settled_once(self, monkeypatch):
+        record = CHAINS["rtt"]
+        settled = []
+
+        def counting(n, path):
+            settled.append(path)
+            return record.settle(n, path)
+
+        monkeypatch.setitem(CHAINS, "rtt", dataclasses.replace(record, settle=counting))
+        samples = 10_000
+        rep = monte_carlo_conditional("rtt", 3, 1, parse_predicate("any_to_top", 3, "rtt"),
+                                      parse_statistic("top_card", 3), samples=samples, seed=19)
+        assert rep.satisfied == samples
+        assert len(settled) <= 3 * math.ceil(samples / verify._CHUNK)
+
+
 @pytest.mark.parametrize("stat", [Kind("position_of", (9,)), Kind("top_k_order", (9,))])
 def test_statistic_validated_at_every_entry(stat):
     """A kind out of range for n = 4 is refused before any deck is evaluated."""
