@@ -12,15 +12,15 @@ and the first vertex is red), index reds and blues in visit order, and give
 set i every red and blue whose index is congruent to i mod k.
 
 The lazy walk moves left or right with probability 1/4 each and stays put
-otherwise.  Its color law comes from one integer sweep: with counts c over
-4^t, c'(v) = c(v-1) + 2c(v) + c(v+1), so the red mass at every t up to the
-horizon is an integer over 4^t, read off as the sweep goes.  Separation
+otherwise.  Every exact number here counts integer paths over 4^t, with
+each lazy step refined into two half-steps on half-unit positions (even =
+vertex, odd = edge midpoint): vertex to an adjacent edge, then to a vertex.
+The walk's visited range is an interval of half-units; midpoints of an
+alternating set are half-unit positions halfway between consecutive
+members on the member-free arc.  The color law reads the red vertices off
+two tables of the cycle's size (vertex to edge, edge to vertex), so the
+red mass at every t up to the horizon is an integer over 4^t.  Separation
 from fair (1/2, 1/2) and the red-dominance margin are both built from it.
-For coverage bookkeeping each lazy step is refined into two
-half-steps on half-unit positions (even = vertex, odd = edge midpoint):
-vertex to an adjacent edge, then to a vertex.  The walk's visited range is
-an interval of half-units; midpoints of an alternating set are half-unit
-positions halfway between consecutive members on the member-free arc.
 
 coverage_time_tail computes Pr(T > t) exactly, where T is the first refined
 time the visited interval holds at least one midpoint of every set of the
@@ -33,15 +33,15 @@ distance tail.  Whether exact color separation is bounded by the coverage
 tail is checked, not assumed; see scripts/sweep_cycle_bounds.py for the
 systematic comparison.
 
-Each tail counts integer paths over 4^t on the smallest state space that
-is still exact, and all three share one sweep, _sweep, over a fixed table
-of states.  The distance walk is killed the first time it sits 2(2k-1)
-half-units from its start, so its position alone is the state: the table
-is a strip.  Coverage and vertex count depend on the whole visited window
-[l, r], so _halfstep_tail numbers every (window, position) state.  Every
-tail is charged to the budget before it starts: its states x 2 moves x
-2 * horizon half-steps.  The windows' states are counted in closed form
-before any window is listed, so a refused tail costs almost nothing.
+Every count, the color law's and the reflection balance's included, comes
+from one sweep, _sweep, over fixed state tables.  The distance walk is
+killed the first time it sits 2(2k-1) half-units from its start, so its
+position alone is the state: the table is a strip.  Coverage and vertex
+count depend on the whole visited window [l, r], so _halfstep_tail numbers
+every (window, position) state.  Every tail is charged to the budget before
+it starts: its states x 2 moves x 2 * horizon half-steps.  The windows'
+states are counted in closed form before any window is listed, so a
+refused tail costs almost nothing.
 """
 
 from __future__ import annotations
@@ -170,13 +170,8 @@ def midpoints(aset: AlternatingSet, cycle_size: int) -> tuple:
     midpoint per arc.
     """
     members = sorted(aset.members)
-    out = []
-    for i in range(len(members)):
-        u = members[i]
-        w = members[(i + 1) % len(members)]
-        d = (w - u) % cycle_size
-        out.append((2 * u + d) % (2 * cycle_size))
-    return tuple(sorted(out))
+    return tuple(sorted((2 * u + (w - u) % cycle_size) % (2 * cycle_size)
+                        for u, w in zip(members, members[1:] + members[:1])))
 
 
 def lazy_cycle_kernel(size: int) -> Kernel:
@@ -212,11 +207,19 @@ def _check_start(size: int, x0: int, horizon: int) -> None:
         raise ValueError("horizon must be nonnegative")
 
 
+def _cycle_tables(size: int) -> tuple:
+    """The lazy step's two half-step tables on a cycle of `size` vertices:
+    edge i (between vertices i and i + 1) gets vertices i and i + 1, then
+    vertex i gets edges i - 1 and i."""
+    vertices = [*range(size)]
+    return ((vertices, vertices[1:] + vertices[:1]), (vertices[-1:] + vertices[:-1], vertices))
+
+
 def _red_counts(coloring: tuple, x0: int, horizon: int) -> list:
     """Red mass of the lazy walk from x0 at t = 0..horizon, as integers over 4^t.
 
-    One sweep of integer counts, c'(v) = c(v-1) + 2c(v) + c(v+1), charged
-    to the budget as vertices x 3 moves x steps.
+    One _sweep of the two cycle tables, charged to the budget as vertices
+    x 3 moves x steps.
     """
     size = len(coloring)
     _check_start(size, x0, horizon)
@@ -224,14 +227,8 @@ def _red_counts(coloring: tuple, x0: int, horizon: int) -> list:
         raise ValueError("cycle needs at least 3 vertices")
     require_within_budget(size * 3 * horizon, f"lazy walk on {size} vertices to t={horizon}",
                           "use a shorter horizon")
-    reds = [v for v in range(size) if coloring[v] == RED]
-    counts = [0] * size
-    counts[x0] = 1
-    out = [counts[x0] if coloring[x0] == RED else 0]
-    for _ in range(horizon):
-        counts = [counts[v - 1] + 2 * counts[v] + counts[(v + 1) % size] for v in range(size)]
-        out.append(sum(counts[v] for v in reds))
-    return out
+    reds = itemgetter(*(v for v in range(size) if coloring[v] == RED), size)
+    return _sweep(_cycle_tables(size), x0, horizon, lambda counts: sum(reds(counts)))
 
 
 def separation_profile(coloring: tuple, x0: int, horizon: int):
@@ -269,24 +266,32 @@ def _decomposition_members(coloring: tuple, sets) -> list:
     return out
 
 
-def _sweep(before: list, after: list, start: int, horizon: int) -> list:
-    """Pr(T > t), t = 0..horizon, from integer path counts on a fixed table.
+def _sweep(half_steps, start: int, horizon: int, read=sum) -> list:
+    """read(counts) at t = 0..horizon, counts being integer paths over 4^t.
 
-    A half-step gives state i the counts of states before[i] and after[i],
-    the two that move into it (from x - 1 and x + 1 on a strip).  Index
-    len(before) is a slot that feeds only itself, so it stays 0: absorbed
-    or missing neighbours point there.  The walk starts in state `start`.
+    Each lazy step applies the two (before, after) tables of half_steps in
+    turn: a half-step gives state i the counts of states before[i] and
+    after[i], the two that move into it (from x - 1 and x + 1 on a strip).
+    The last index, the tables' length, is a slot that feeds only itself,
+    so it stays 0: absorbed or missing neighbours point there.  The walk
+    starts in state `start`.
     """
-    zero = len(before)
-    feed_before, feed_after = itemgetter(*before, zero), itemgetter(*after, zero)
+    zero = len(half_steps[0][0])
+    feeds = [(itemgetter(*before, zero), itemgetter(*after, zero)) for before, after in half_steps]
     counts = [0] * (zero + 1)
     counts[start] = 1
-    tails = [Fraction(1)]
-    for t in range(1, horizon + 1):
-        for _ in range(2):
+    out = [read(counts)]
+    for _ in range(horizon):
+        for feed_before, feed_after in feeds:
             counts = [*map(add, feed_before(counts), feed_after(counts))]
-        tails.append(Fraction(sum(counts), 4 ** t))
-    return tails
+        out.append(read(counts))
+    return out
+
+
+def _tail(table: tuple, start: int, horizon: int) -> list:
+    """Pr(T > t), t = 0..horizon: the alive mass, one table for both half-steps."""
+    alive = _sweep((table, table), start, horizon)
+    return [Fraction(count, 4 ** t) for t, count in enumerate(alive)]
 
 
 def _alive_states(horizon: int, absorbed) -> int:
@@ -345,7 +350,7 @@ def _halfstep_tail(coloring, x0, horizon, absorbed, name):
             after += [*range(base + l + 1, base + r + 1), first[l, r - 1] + r - 1 if r else states]
         if (l, 0) not in first:
             break
-    return _sweep(before, after, 0, horizon)
+    return _tail((before, after), 0, horizon)
 
 
 def _coverage_reach(members: list, size: int) -> list:
@@ -434,7 +439,7 @@ def distance_moved_tail(coloring: tuple, x0: int, horizon: int):
     require_within_budget(width * 2 * 2 * horizon,
                           f"distance-moved tail on {size} vertices to t={horizon}",
                           "use a shorter horizon")
-    return _sweep([width, *range(width - 1)], [*range(1, width), width], need - 1, horizon)
+    return _tail(([width, *range(width - 1)], [*range(1, width), width]), need - 1, horizon)
 
 
 def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):
@@ -443,38 +448,34 @@ def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):
 
     The reflection heuristic predicts the two masses agree at every t; this
     computes them so the prediction can be checked rather than assumed.
+    The crossed mass on a member is the walk's mass there minus that of
+    the walk killed on entering a midpoint, whose tables feed each
+    midpoint from the zero slot; a start on a midpoint leaves none alive.
+    Charged as the two sweeps x vertices x 2 moves x 2 * horizon half-steps.
     """
     members = tuple(sorted(aset.members if isinstance(aset, AlternatingSet) else aset))
     validate_coloring(coloring)
     size = len(coloring)
-    half_size = 2 * size
-    mids = set(midpoints(AlternatingSet(members), size))
-    member_set = set(members)
-    h0 = 2 * x0
-    alive = {(h0, h0 in mids): 1}
+    _check_start(size, x0, horizon)
+    mids = midpoints(AlternatingSet(members), size)
+    require_within_budget(2 * size * 2 * 2 * horizon,
+                          f"reflection balance on {size} vertices to t={horizon}",
+                          "use a shorter horizon")
+    reds = itemgetter(*(v for v in members if coloring[v] == RED), size)
+    blues = itemgetter(*(v for v in members if coloring[v] == BLUE), size)
 
-    def masses(state_counts, denom):
-        red = blue = 0
-        for (pos, crossed), count in state_counts.items():
-            if not crossed or pos % 2 != 0 or pos // 2 not in member_set:
-                continue
-            if coloring[pos // 2] == RED:
-                red += count
-            else:
-                blue += count
-        return Fraction(red, denom), Fraction(blue, denom)
+    def read(counts):
+        return sum(reds(counts)), sum(blues(counts))
 
-    out = [masses(alive, 1)]
-    for t in range(1, horizon + 1):
-        for _ in range(2):
-            nxt: dict = {}
-            for (pos, crossed), count in alive.items():
-                for pos2 in ((pos - 1) % half_size, (pos + 1) % half_size):
-                    key = (pos2, crossed or pos2 in mids)
-                    nxt[key] = nxt.get(key, 0) + count
-            alive = nxt
-        out.append(masses(alive, 4 ** t))
-    return out
+    tables = _cycle_tables(size)
+    killed = [([*before], [*after]) for before, after in tables]
+    for m in mids:  # an odd m is an edge of the first table, an even m a vertex of the second
+        before, after = killed[1 - m % 2]
+        before[m // 2] = after[m // 2] = size
+    walk = _sweep(tables, x0, horizon, read)
+    alive = [(0, 0)] * (horizon + 1) if 2 * x0 in mids else _sweep(killed, x0, horizon, read)
+    return [(Fraction(red - red_alive, 4 ** t), Fraction(blue - blue_alive, 4 ** t))
+            for t, ((red, blue), (red_alive, blue_alive)) in enumerate(zip(walk, alive))]
 
 
 def gambler_moments(k: int):
@@ -544,14 +545,11 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
     if not precondition:
         return DominanceReport(partition, tuple(nearest_reports), False, tuple(failing),
                                None, None, None)
-    min_margin = None
-    argmin_t = None
-    for t, red in enumerate(_red_counts(coloring, x0, horizon)):
-        margin = Fraction(2 * red - 4 ** t, 2 * 4 ** t)
-        if min_margin is None or margin < min_margin:
-            min_margin, argmin_t = margin, t
-    holds = min_margin >= 0
-    return DominanceReport(partition, tuple(nearest_reports), True, (), holds, min_margin, argmin_t)
+    margins = [Fraction(2 * red - 4 ** t, 2 * 4 ** t)
+               for t, red in enumerate(_red_counts(coloring, x0, horizon))]
+    min_margin = min(margins)
+    return DominanceReport(partition, tuple(nearest_reports), True, (), min_margin >= 0,
+                           min_margin, margins.index(min_margin))
 
 
 def has_alternating_partition(coloring: tuple, parts: int) -> bool:

@@ -63,10 +63,6 @@ from .dist import Distribution, Kernel, law_from_tally
 
 MAX_DENSE_N = 8
 
-_FACT = [1]
-for _i in range(1, 13):
-    _FACT.append(_FACT[-1] * _i)
-
 
 # Decks and moves
 
@@ -96,17 +92,17 @@ def rank_deck(deck: tuple) -> int:
     rank = 0
     for i in range(n):
         smaller = sum(1 for j in range(i + 1, n) if deck[j] < deck[i])
-        rank += smaller * _FACT[n - 1 - i]
+        rank += smaller * factorial(n - 1 - i)
     return rank
 
 
 def unrank_deck(n: int, rank: int) -> tuple:
-    if not 0 <= rank < _FACT[n]:
+    if not 0 <= rank < factorial(n):
         raise ValueError(f"rank {rank} out of range for n={n}")
     labels = list(range(1, n + 1))
     out = []
     for i in range(n):
-        f = _FACT[n - 1 - i]
+        f = factorial(n - 1 - i)
         idx, rank = divmod(rank, f)
         out.append(labels.pop(idx))
     return tuple(out)
@@ -114,7 +110,7 @@ def unrank_deck(n: int, rank: int) -> tuple:
 
 def deck_space(n: int) -> tuple:
     """All Lehmer ranks of S_n, the dense state space for kernels."""
-    return tuple(range(_FACT[n]))
+    return tuple(range(factorial(n)))
 
 
 def _require_dense(n: int) -> None:
@@ -130,7 +126,7 @@ def _dense_kernel(name: str, n: int) -> Kernel:
     first as n! rows x one step's branches."""
     chain = CHAINS[name]
     _require_dense(n)
-    require_within_budget(_FACT[n] * chain.branch_count(n), f"dense kernel {name} n={n}",
+    require_within_budget(factorial(n) * chain.branch_count(n), f"dense kernel {name} n={n}",
                           "use a smaller n")
     moves, denom = chain.branches(n)
     rows = {}

@@ -651,7 +651,7 @@ class TestExitCodes:
                 return absorbed(l, r)
             return real_tail(coloring, x0, horizon, rule, name)
 
-        def no_sweep(before, after, start, horizon):
+        def no_sweep(half_steps, start, horizon, read=sum):
             raise AssertionError("a table was swept before the refused charge")
 
         monkeypatch.setattr(cycle, "_halfstep_tail", counting_tail)

@@ -7,13 +7,15 @@ Fraction weights by the kernel's Fraction rows.  The lumped count
 behind stat-mix is compared with evolve on the dense deck kernels, and
 the closed-form stationary law with the count over every deck.  The
 cycle's three stopping-time tails are compared with a plain engine that
-counts every (left, right, position) state on its own.
+counts every (left, right, position) state on its own, and its
+reflection balance with a count over every refined path.
 """
 
 import json
 import random
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 from conftest import statistic_cases
@@ -24,6 +26,7 @@ from mixscope.cli import main
 from mixscope.cycle import (
     AlternatingSet,
     alternating_decomposition,
+    check_alternating,
     check_red_dominance,
     color_statistic,
     compute_k,
@@ -242,9 +245,9 @@ class TestTailsMatchStateEngine:
         charges, tables = [], []
         real_sweep = cycle._sweep
 
-        def sizing_sweep(before, after, start, horizon):
-            tables.append(len(before))
-            return real_sweep(before, after, start, horizon)
+        def sizing_sweep(half_steps, start, horizon, read=sum):
+            tables.append(len(half_steps[0][0]))
+            return real_sweep(half_steps, start, horizon, read)
 
         monkeypatch.setattr(cycle, "require_within_budget",
                             lambda needed, what, hint: charges.append((needed, what)))
@@ -288,6 +291,63 @@ class TestTailsMatchStateEngine:
             assert coverage_time_tail(MOD6, x0, 60, sets=pairs) == cov
             assert vertex_count_tail(MOD6, x0, 60) == vtx
             assert distance_moved_tail(MOD6, x0, 60) == dst
+
+
+def refined_paths(size, x0, horizon):
+    """Every one of the 4^t refined paths of t lazy steps from x0, for
+    t = 0..horizon, grouped as paths[t][v] = [(lo, hi, count), ...] by
+    their end vertex v and their visited interval: half-unit offsets lo..hi
+    from the start, shifted up by 2 * horizon so that they are >= 0."""
+    paths = []
+    for t in range(horizon + 1):
+        grouped = Counter()
+        for steps in product((1, -1), repeat=2 * t):
+            pos = lo = hi = 0
+            for s in steps:
+                pos += s
+                lo, hi = min(lo, pos), max(hi, pos)
+            grouped[(x0 + pos // 2) % size, lo + 2 * horizon, hi + 2 * horizon] += 1
+        by_end = [[] for _ in range(size)]
+        for (v, lo, hi), count in grouped.items():
+            by_end[v].append((lo, hi, count))
+        paths.append(by_end)
+    return paths
+
+
+class TestReflectionMatchesPathEnumeration:
+    """reflection_balance (the walk minus the walk killed at a midpoint)
+    against a count of every refined path that visits a midpoint."""
+
+    def test_every_set_and_start(self):
+        horizon = 4
+        cases = midpoint_starts = 0
+        for size in (4, 6, 8):
+            half = 2 * size
+            paths = [refined_paths(size, x0, horizon) for x0 in range(size)]
+            for reds in combinations(range(size), size // 2):
+                coloring = tuple("R" if v in reds else "B" for v in range(size))
+                for count in range(2, size + 1, 2):
+                    for members in combinations(range(size), count):
+                        if not check_alternating(coloring, members):
+                            continue
+                        mids = set(midpoints(AlternatingSet(members), size))
+                        for x0 in range(size):
+                            # passed[i] counts the midpoints at shifted offsets below i
+                            passed = [0]
+                            for i in range(-2 * horizon, 2 * horizon + 1):
+                                passed.append(passed[-1] + ((2 * x0 + i) % half in mids))
+                            expected = []
+                            for t, by_end in enumerate(paths[x0]):
+                                mass = {"R": 0, "B": 0}
+                                for v in members:
+                                    mass[coloring[v]] += sum(n for lo, hi, n in by_end[v]
+                                                             if passed[hi + 1] > passed[lo])
+                                expected.append((F(mass["R"], 4 ** t), F(mass["B"], 4 ** t)))
+                            got = cycle.reflection_balance(coloring, members, x0, horizon)
+                            assert got == expected, ("".join(coloring), members, x0)
+                            cases += 1
+                            midpoint_starts += 2 * x0 in mids
+        assert (cases, midpoint_starts) == (18_148, 2_600)
 
 
 class TestTrackedCardMatchesDenseDeck:

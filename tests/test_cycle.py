@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixscope import cycle
+from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, evolve, push_forward
 from mixscope.cycle import (
     AlternatingSet,
@@ -398,6 +400,46 @@ class TestClaimedBounds:
             f"{[(m, t, str(r), str(b)) for m, t, r, b in unfair[:4]]} "
             "(scripts/sweep_cycle_bounds.py reproduces the full sweep)"
         )
+
+
+class TestReflectionBalance:
+    """The masses behind the fairness refutation, and the checks and charge
+    that come before any sweep."""
+
+    @pytest.mark.parametrize("members,red,blue", [
+        ((0, 2, 3, 5, 7, 10), F(13, 64), F(3, 16)),
+        ((1, 4, 6, 8, 9, 11), F(1, 4), F(15, 64)),  # x0 = 0 is one of its midpoints
+    ])
+    def test_mod6_witnesses(self, members, red, blue):
+        assert reflection_balance(MOD6, members, 0, 3)[3] == (red, blue)
+
+    def test_start_and_horizon_are_checked(self):
+        members = (0, 2, 3, 5, 7, 10)
+        for x0 in (12, -5):
+            with pytest.raises(ValueError, match=r"^x0 must be a vertex in 0\.\.11$"):
+                reflection_balance(MOD6, members, x0, 3)
+        with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
+            reflection_balance(MOD6, members, 0, -3)
+
+    def test_charged_before_either_sweep(self, monkeypatch):
+        """Two sweeps x 12 vertices x 2 moves x 2 * 3 half-steps = 288."""
+        members = (0, 2, 3, 5, 7, 10)
+        real_sweep, sweeps = cycle._sweep, []
+
+        def counting_sweep(*args):
+            sweeps.append(args[1:3])
+            return real_sweep(*args)
+
+        monkeypatch.setattr(cycle, "_sweep", counting_sweep)
+        monkeypatch.setenv("MIXSCOPE_BUDGET", "287")
+        with pytest.raises(CapacityError, match="^reflection balance on 12 vertices to t=3 "
+                                                "needs 288 branches, over the budget of 287; "
+                                                "use a shorter horizon$"):
+            reflection_balance(MOD6, members, 0, 3)
+        assert sweeps == []
+        monkeypatch.setenv("MIXSCOPE_BUDGET", "288")
+        assert reflection_balance(MOD6, members, 0, 3)[3] == (F(13, 64), F(3, 16))
+        assert sweeps == [(0, 3), (0, 3)]
 
 
 class TestGambler:
