@@ -451,13 +451,19 @@ def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):
     The crossed mass on a member is the walk's mass there minus that of
     the walk killed on entering a midpoint, whose tables feed each
     midpoint from the zero slot; a start on a midpoint leaves none alive.
-    Charged as the two sweeps x vertices x 2 moves x 2 * horizon half-steps.
+    The set must hold vertices of the cycle whose colors alternate, checked
+    before the charge: the two sweeps x vertices x 2 moves x 2 * horizon
+    half-steps.
     """
     members = tuple(sorted(aset.members if isinstance(aset, AlternatingSet) else aset))
     validate_coloring(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
     mids = midpoints(AlternatingSet(members), size)
+    if members[0] < 0 or members[-1] >= size:
+        raise ValueError(f"set {members} holds a vertex outside 0..{size - 1}")
+    if not check_alternating(coloring, members):
+        raise ValueError(f"set {members} does not alternate")
     require_within_budget(2 * size * 2 * 2 * horizon,
                           f"reflection balance on {size} vertices to t={horizon}",
                           "use a shorter horizon")

@@ -13,10 +13,10 @@ Three chains are provided:
 
 All three fix the uniform distribution on the symmetric group.  Each is
 one Chain record in CHAINS, which every per-chain choice here and in
-verify and cli reads.  Explicit kernels over Lehmer ranks are built for 2 <= n <= 8
-(8! = 40320 states) by one row loop over a record's weighted moves, each
-charged to the budget as n! rows x one step's branches.
-No report uses them: the exact law at time t is a forward count over the
+verify and cli reads.  Explicit kernels are built for 2 <= n <= 8 (8! =
+40320 states) by one row loop over a record's weighted moves, each charged
+to the budget as n! rows x one step's branches; their states are the decks
+themselves, in itertools.permutations order.  No report uses them: the exact law at time t is a forward count over the
 decks reachable from the identity (verify.statistic_law_at), and the
 stationary law of a statistic a closed-form count of the decks giving each
 value (stationary_tally), charged to the budget by its support size, so no
@@ -84,35 +84,6 @@ def apply_move(deck: tuple, card: int) -> tuple:
     return (card,) + deck[:i] + deck[i + 1:]
 
 
-# Lehmer encoding of S_n for dense state spaces
-
-def rank_deck(deck: tuple) -> int:
-    """Lehmer rank of a deck among all permutations of its labels."""
-    n = len(deck)
-    rank = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if deck[j] < deck[i])
-        rank += smaller * factorial(n - 1 - i)
-    return rank
-
-
-def unrank_deck(n: int, rank: int) -> tuple:
-    if not 0 <= rank < factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    labels = list(range(1, n + 1))
-    out = []
-    for i in range(n):
-        f = factorial(n - 1 - i)
-        idx, rank = divmod(rank, f)
-        out.append(labels.pop(idx))
-    return tuple(out)
-
-
-def deck_space(n: int) -> tuple:
-    """All Lehmer ranks of S_n, the dense state space for kernels."""
-    return tuple(range(factorial(n)))
-
-
 def _require_dense(n: int) -> None:
     if not 2 <= n <= MAX_DENSE_N:
         raise ValueError(
@@ -121,27 +92,28 @@ def _require_dense(n: int) -> None:
 
 
 def _dense_kernel(name: str, n: int) -> Kernel:
-    """One step of the named chain over Lehmer ranks: every branch applied
-    with the chain's deck step to every deck of S_n, charged to the budget
-    first as n! rows x one step's branches."""
+    """One step of the named chain over the decks of S_n, listed once in
+    permutations order: every branch applied with the chain's deck step to
+    every deck, charged to the budget first as n! rows x one step's
+    branches."""
     chain = CHAINS[name]
     _require_dense(n)
     require_within_budget(factorial(n) * chain.branch_count(n), f"dense kernel {name} n={n}",
                           "use a smaller n")
     moves, denom = chain.branches(n)
+    decks = tuple(itertools.permutations(range(1, n + 1)))
     rows = {}
-    for r in deck_space(n):
-        deck = unrank_deck(n, r)
+    for deck in decks:
         row: dict = {}
         for move, m in moves:
-            tr = rank_deck(chain.step(deck, move))
-            row[tr] = row.get(tr, 0) + m
-        rows[r] = tuple(sorted((tr, Fraction(m, denom)) for tr, m in row.items()))
-    return Kernel(deck_space(n), rows)
+            target = chain.step(deck, move)
+            row[target] = row.get(target, 0) + m
+        rows[deck] = tuple(sorted((target, Fraction(m, denom)) for target, m in row.items()))
+    return Kernel(decks, rows)
 
 
 def random_to_top_kernel(n: int) -> Kernel:
-    """Each of the n to-top moves with probability 1/n, over Lehmer ranks."""
+    """Each of the n to-top moves with probability 1/n."""
     return _dense_kernel("rtt", n)
 
 
@@ -323,9 +295,10 @@ def evaluate_statistic(kind: Kind, deck: tuple):
 
 
 def deck_statistic(n: int, kind: Kind):
-    """The statistic as a function of Lehmer ranks, for ranked state spaces."""
+    """The statistic, validated against deck size n, as a function of a
+    deck, for the dense kernels' states."""
     validate_statistic_kind(kind, n)
-    return lambda r: evaluate_statistic(kind, unrank_deck(n, r))
+    return lambda deck: evaluate_statistic(kind, deck)
 
 
 def statistic_tally(kind: Kind, weighted_decks) -> dict:

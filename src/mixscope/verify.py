@@ -285,24 +285,17 @@ def _lumped_counts(chain: str, n: int, t: int, predicate: Kind):
     holds = summary_test(predicate, n)
     start = None if predicate.kind == "always" else record.start_summary
     states = {(identity_deck(n), start): 1}
-    # after_true holds the states one step after a true one; always is never watched
-    stable, watching, after_true = True, start is not None, set()
+    stable, watching = True, start is not None  # always is never watched
     for _ in range(t):
         nxt: dict = {}
-        true_before, after_true = after_true, set()
-        for state, count in states.items():
-            held = holds(*state)
-            if not held and state in true_before:
-                stable = watching = False
-            deck, summary = state
-            watched = held and watching
+        for (deck, summary), count in states.items():
+            watched = watching and holds(deck, summary)
             for move, m in branches:
                 key = advance(deck, summary, move)
                 nxt[key] = nxt.get(key, 0) + count * m
-                if watched:
-                    after_true.add(key)
+                if watched and not holds(*key):
+                    stable = watching = False
         states = nxt
-    stable = stable and all(holds(*state) for state in after_true)
     total = sum(states.values())
     if total != denom ** t:
         raise InvariantError(f"lumped counts sum to {total}, not {denom}^{t}")

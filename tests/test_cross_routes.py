@@ -8,7 +8,9 @@ behind stat-mix is compared with evolve on the dense deck kernels, and
 the closed-form stationary law with the count over every deck.  The
 cycle's three stopping-time tails are compared with a plain engine that
 counts every (left, right, position) state on its own, and its
-reflection balance with a count over every refined path.
+reflection balance with a count over every refined path.  The dense deck
+kernels are first read against their records: their states are the decks
+in permutations order, each row the record's step over its branches.
 """
 
 import json
@@ -45,9 +47,9 @@ from mixscope.shuffles import (
     STATISTIC_KINDS,
     Kind,
     deck_statistic,
+    evaluate_statistic,
     identity_deck,
     random_to_top_kernel,
-    rank_deck,
     riffle_kernel,
     stationary_statistic_distribution,
     stationary_support_size,
@@ -91,9 +93,21 @@ class TestEvolveMatchesReference:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dense_deck_kernels(self, chain, n):
         kernel = DENSE[chain](n)
+        decks = tuple(permutations(range(1, n + 1)))
+        assert kernel.states == decks
+        record = shuffles.CHAINS[chain]
+        moves, denom = record.branches(n)
+        for deck in decks:
+            targets = Counter()
+            for move, m in moves:
+                targets[record.step(deck, move)] += m
+            assert dict(kernel.rows[deck]) == {d: F(m, denom) for d, m in targets.items()}
+        for stat in statistic_cases(n):
+            image = deck_statistic(n, stat)
+            assert all(image(deck) == evaluate_statistic(stat, deck) for deck in decks)
         rng = random.Random(f"{chain}{n}")
         starts = [
-            Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states),
+            Distribution.point_mass(identity_deck(n), kernel.states),
             random_start(kernel, rng),
         ]
         for mu in starts:
@@ -354,7 +368,7 @@ class TestTrackedCardMatchesDenseDeck:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_position_law(self, n):
         kernel = walk1_kernel(n)
-        start = Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states)
+        start = Distribution.point_mass(identity_deck(n), kernel.states)
         laws = reference_laws(kernel, start, 4)
         for p in range(1, n + 1):
             # the identity deck holds card p at position p
@@ -371,7 +385,7 @@ class TestSparseLawMatchesDenseKernel:
     @pytest.mark.parametrize("chain,n", CASES)
     def test_statistic_law_at(self, chain, n):
         kernel = DENSE[chain](n)
-        start = Distribution.point_mass(rank_deck(identity_deck(n)), kernel.states)
+        start = Distribution.point_mass(identity_deck(n), kernel.states)
         laws = [evolve(kernel, start, t) for t in range(5)]
         for stat in statistic_cases(n):
             image = deck_statistic(n, stat)

@@ -421,6 +421,16 @@ class TestReflectionBalance:
         with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
             reflection_balance(MOD6, members, 0, -3)
 
+    @pytest.mark.parametrize("members,message", [
+        ((0, -1), r"^set \(-1, 0\) holds a vertex outside 0\.\.11$"),
+        ((0, 12), r"^set \(0, 12\) holds a vertex outside 0\.\.11$"),
+        ((0, 1), r"^set \(0, 1\) does not alternate$"),  # both red
+    ], ids=["negative", "past-end", "both-red"])
+    def test_set_is_checked_before_the_charge(self, monkeypatch, members, message):
+        monkeypatch.setenv("MIXSCOPE_BUDGET", "1")
+        with pytest.raises(ValueError, match=message):
+            reflection_balance(MOD6, members, 0, 3)
+
     def test_charged_before_either_sweep(self, monkeypatch):
         """Two sweeps x 12 vertices x 2 moves x 2 * 3 half-steps = 288."""
         members = (0, 2, 3, 5, 7, 10)

@@ -1,4 +1,4 @@
-"""Deck chains, permutation indexing, riffle mechanics, and statistics."""
+"""Deck chains, their dense kernels over decks, riffle mechanics, and statistics."""
 
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -14,17 +14,14 @@ from mixscope.shuffles import (
     STATISTIC_KINDS,
     Kind,
     apply_move,
-    deck_space,
     deck_statistic,
     evaluate_statistic,
     identity_deck,
     inverse_riffle_apply,
     parse_statistic,
     random_to_top_kernel,
-    rank_deck,
     riffle_kernel,
     stationary_statistic_distribution,
-    unrank_deck,
     validate_statistic_kind,
     walk1_kernel,
 )
@@ -52,16 +49,6 @@ class TestMoves:
 
 
 class TestRanking:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_rank_unrank_bijection(self, n):
-        seen = {rank_deck(p) for p in permutations(range(1, n + 1))}
-        assert seen == set(deck_space(n))
-        for r in deck_space(n):
-            assert rank_deck(unrank_deck(n, r)) == r
-
-    def test_identity_has_rank_zero(self):
-        assert rank_deck(identity_deck(6)) == 0
-
     def test_dense_cap(self):
         with pytest.raises(ValueError, match="sampler mode"):
             random_to_top_kernel(9)
@@ -70,18 +57,18 @@ class TestRanking:
 class TestKernels:
     def test_rtt_row_from_identity(self):
         k = random_to_top_kernel(3)
-        row = dict(k.rows[rank_deck((1, 2, 3))])
-        assert row[rank_deck((1, 2, 3))] == F(1, 3)  # to_top(1) is a no-op
-        assert row[rank_deck((2, 1, 3))] == F(1, 3)
-        assert row[rank_deck((3, 1, 2))] == F(1, 3)
+        row = dict(k.rows[(1, 2, 3)])
+        assert row[(1, 2, 3)] == F(1, 3)  # to_top(1) is a no-op
+        assert row[(2, 1, 3)] == F(1, 3)
+        assert row[(3, 1, 2)] == F(1, 3)
 
     def test_walk1_row_from_identity(self):
         k = walk1_kernel(3)
-        row = dict(k.rows[rank_deck((1, 2, 3))])
-        assert row[rank_deck((1, 2, 3))] == F(1, 6)
-        assert row[rank_deck((2, 3, 1))] == F(1, 2)  # top-to-bottom
-        assert row[rank_deck((2, 1, 3))] == F(1, 6)
-        assert row[rank_deck((3, 1, 2))] == F(1, 6)
+        row = dict(k.rows[(1, 2, 3)])
+        assert row[(1, 2, 3)] == F(1, 6)
+        assert row[(2, 3, 1)] == F(1, 2)  # top-to-bottom
+        assert row[(2, 1, 3)] == F(1, 6)
+        assert row[(3, 1, 2)] == F(1, 6)
 
     @pytest.mark.parametrize("maker", [random_to_top_kernel, walk1_kernel, riffle_kernel])
     def test_doubly_stochastic_n4(self, maker):
@@ -141,10 +128,10 @@ class TestRiffle:
 
     def test_riffle_kernel_is_single_bit_step(self):
         k = riffle_kernel(3)
-        row = dict(k.rows[rank_deck((1, 2, 3))])
+        row = dict(k.rows[(1, 2, 3)])
         # 8 bit columns; (1,0,0) and permutation-equal columns aggregate
-        assert row[rank_deck((2, 3, 1))] == F(1, 8)
-        assert row[rank_deck((1, 2, 3))] == F(4, 8)  # 000, 111, 011, 001
+        assert row[(2, 3, 1)] == F(1, 8)
+        assert row[(1, 2, 3)] == F(4, 8)  # 000, 111, 011, 001
 
 
 class TestStatistics:
@@ -227,13 +214,13 @@ class TestStationaryLaws:
 
     def test_matches_direct_pushforward(self):
         kind = parse_statistic("top_k_set:2", 4)
-        uniform = Distribution.uniform(deck_space(4))
+        uniform = Distribution.uniform(permutations(range(1, 5)))
         direct = push_forward(uniform, deck_statistic(4, kind))
         assert stationary_statistic_distribution(4, kind).as_mapping() == direct.as_mapping()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_integer_count_matches_uniform_pushforward(self, n):
-        uniform = Distribution.uniform(deck_space(n))
+        uniform = Distribution.uniform(permutations(range(1, n + 1)))
         cases = statistic_cases(n)
         assert {s.kind for s in cases} == set(STATISTIC_KINDS)
         for kind in cases:
