@@ -244,22 +244,26 @@ def separation_profile(coloring: tuple, x0: int, horizon: int):
     return out
 
 
-def _decomposition_members(coloring: tuple, sets) -> list:
-    """Normalize an optional explicit partition to member tuples.
+def _alternating_members(coloring: tuple, aset) -> tuple:
+    """The sorted members of an AlternatingSet or member sequence, checked
+    as a set of the cycle: even size >= 2, distinct members, every member
+    a vertex in 0..size-1, and colors that strictly alternate."""
+    members = tuple(sorted(aset.members if isinstance(aset, AlternatingSet) else aset))
+    AlternatingSet(members)
+    if members[0] < 0 or members[-1] >= len(coloring):
+        raise ValueError(f"set {members} holds a vertex outside 0..{len(coloring) - 1}")
+    if not check_alternating(coloring, members):
+        raise ValueError(f"set {members} does not alternate")
+    return members
 
-    sets may be AlternatingSets or member sequences; None means the
-    canonical decomposition.  Explicit sets must partition the vertices and
-    strictly alternate.
-    """
+
+def _decomposition_members(coloring: tuple, sets) -> list:
+    """The member tuples of explicit sets (AlternatingSets or member
+    sequences, each checked by _alternating_members, together holding each
+    vertex once), or of the canonical decomposition when sets is None."""
     if sets is None:
         return [a.members for a in alternating_decomposition(coloring)]
-    out = []
-    for s in sets:
-        members = tuple(sorted(s.members if isinstance(s, AlternatingSet) else s))
-        AlternatingSet(members)
-        if not check_alternating(coloring, members):
-            raise ValueError(f"set {members} does not alternate")
-        out.append(members)
+    out = [_alternating_members(coloring, s) for s in sets]
     flat = sorted(v for members in out for v in members)
     if flat != list(range(len(coloring))):
         raise ValueError("sets do not partition the cycle's vertices")
@@ -455,15 +459,11 @@ def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):
     before the charge: the two sweeps x vertices x 2 moves x 2 * horizon
     half-steps.
     """
-    members = tuple(sorted(aset.members if isinstance(aset, AlternatingSet) else aset))
     validate_coloring(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
+    members = _alternating_members(coloring, aset)
     mids = midpoints(AlternatingSet(members), size)
-    if members[0] < 0 or members[-1] >= size:
-        raise ValueError(f"set {members} holds a vertex outside 0..{size - 1}")
-    if not check_alternating(coloring, members):
-        raise ValueError(f"set {members} does not alternate")
     require_within_budget(2 * size * 2 * 2 * horizon,
                           f"reflection balance on {size} vertices to t={horizon}",
                           "use a shorter horizon")

@@ -16,13 +16,13 @@ one Chain record in CHAINS, which every per-chain choice here and in
 verify and cli reads.  Explicit kernels are built for 2 <= n <= 8 (8! =
 40320 states) by one row loop over a record's weighted moves, each charged
 to the budget as n! rows x one step's branches; their states are the decks
-themselves, in itertools.permutations order.  No report uses them: the exact law at time t is a forward count over the
-decks reachable from the identity (verify.statistic_law_at), and the
-stationary law of a statistic a closed-form count of the decks giving each
-value (stationary_tally), charged to the budget by its support size, so no
-report lists S_n.  The kernels stay as the independent oracle of the law
-at time t; the tests keep the count over all of S_n as the stationary
-law's oracle.
+themselves, in itertools.permutations order.  No report uses them: the
+exact law at time t is a forward count over the decks reachable from the
+identity (verify.statistic_law_at), and the stationary law of a statistic
+a closed-form count of the decks giving each value, charged to the budget
+by its support size, so no report lists S_n.  The kernels stay as the
+independent oracle of the law at time t; the tests keep the count over all
+of S_n as the stationary law's oracle.
 
 A move is the same value in every part of a record: a card-choice move is
 a card label, 0 for top-to-bottom (apply_move), and a riffle move is an
@@ -39,9 +39,11 @@ tuples (randrange inlined as getrandbits until below n), riffle paths are
 bytes.
 
 Each statistic and predicate kind maps to a rule of PARAMETER_RULES,
-checked by validate_kind; statistic_tally is the one loop evaluating a
-statistic over weighted decks, and stationary_tally gives its count over
-the uniform deck without evaluating it.
+checked by validate_kind.  A statistic's kind is read once per request:
+statistic_reader compiles it into a function of a deck, which
+statistic_tally, the one loop over weighted decks, calls.  One closed form
+per kind, _stationary_counts, gives both the support size the budget is
+charged and the count over the uniform deck, without evaluating anything.
 
 Multi-step riffle strings record the earliest step's bit first.  One-shot
 application must agree with composing single-bit steps, and a stable sort
@@ -56,7 +58,8 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial
+from operator import itemgetter
 
 from .budget import require_within_budget
 from .dist import Distribution, Kernel, law_from_tally
@@ -254,60 +257,64 @@ def _parity(deck: tuple) -> str:
     return "even" if inv % 2 == 0 else "odd"
 
 
-def evaluate_statistic(kind: Kind, deck: tuple):
-    """Evaluate a statistic, validated once by the caller, on a deck; values
-    are hashable and canonical."""
+def statistic_reader(kind: Kind):
+    """The statistic, validated once by the caller, as a function of a deck.
+    The kind and parameters are read here, once per request; values are
+    hashable and canonical."""
     k, ps = kind.kind, kind.params
-    n = len(deck)
     if k == "top_card":
-        return deck[0]
+        return itemgetter(0)
     if k == "top_k_order":
-        return deck[: ps[0]]
+        return itemgetter(slice(ps[0]))
     if k == "top_k_set":
-        return tuple(sorted(deck[: ps[0]]))
+        return lambda deck: tuple(sorted(deck[:ps[0]]))
     if k == "position_of":
-        return deck.index(ps[0]) + 1
+        return lambda deck: deck.index(ps[0]) + 1
     if k == "positions_of":
-        return tuple(deck.index(c) + 1 for c in sorted(ps))
+        cards = sorted(ps)
+        return lambda deck: tuple(deck.index(c) + 1 for c in cards)
     if k == "parity":
-        return _parity(deck)
-    if k == "card_above":
-        i = deck.index(ps[0])
-        return "none" if i == 0 else deck[i - 1]
-    if k == "card_below":
-        i = deck.index(ps[0])
-        return "none" if i == n - 1 else deck[i + 1]
+        return _parity
+    if k in ("card_above", "card_below"):
+        # the deck between two "none" ends, read just above or below the card
+        card, offset = ps[0], 0 if k == "card_above" else 2
+        return lambda deck: ("none", *deck, "none")[deck.index(card) + offset]
     if k == "relative_order":
         chosen = set(ps)
-        return tuple(c for c in deck if c in chosen)
+        return lambda deck: tuple(c for c in deck if c in chosen)
     if k == "distance":
-        return abs(deck.index(ps[0]) - deck.index(ps[1]))
+        a, b = ps
+        return lambda deck: abs(deck.index(a) - deck.index(b))
     if k == "block_sets":
         b = ps[0]
-        return tuple(tuple(sorted(deck[i * b:(i + 1) * b])) for i in range(n // b))
+        return lambda deck: tuple(tuple(sorted(deck[i:i + b])) for i in range(0, len(deck), b))
     if k == "modular_hands":
-        m = ps[0]
-        hands = [[] for _ in range(m)]
-        for pos0, c in enumerate(deck):
-            hands[pos0 % m].append(c)
-        return tuple(tuple(sorted(h)) for h in hands)
+        m = ps[0]  # hand r holds the cards at 0-based positions r, r + m, ...
+        return lambda deck: tuple(tuple(sorted(deck[r::m])) for r in range(m))
     raise AssertionError(k)
+
+
+def evaluate_statistic(kind: Kind, deck: tuple):
+    """The statistic, validated once by the caller, on one deck: its
+    statistic_reader applied once."""
+    return statistic_reader(kind)(deck)
 
 
 def deck_statistic(n: int, kind: Kind):
     """The statistic, validated against deck size n, as a function of a
-    deck, for the dense kernels' states."""
+    deck (its statistic_reader), for the dense kernels' states."""
     validate_statistic_kind(kind, n)
-    return lambda deck: evaluate_statistic(kind, deck)
+    return statistic_reader(kind)
 
 
 def statistic_tally(kind: Kind, weighted_decks) -> dict:
     """value -> total weight of the (deck, weight) pairs giving it, for a
-    statistic validated once by the caller.  weighted_decks may be a
-    generator; it is read once and no deck is kept."""
+    statistic validated by the caller and compiled here once.  The pairs
+    may be a generator; they are read once and no deck is kept."""
+    read = statistic_reader(kind)
     tally: dict = {}
     for deck, weight in weighted_decks:
-        v = evaluate_statistic(kind, deck)
+        v = read(deck)
         tally[v] = tally.get(v, 0) + weight
     return tally
 
@@ -324,63 +331,51 @@ def _ordered_partitions(cards: tuple, size: int):
             yield (block,) + tail
 
 
-def _block_size(kind: Kind, n: int) -> int:
-    """The size of each block a block_sets or modular_hands value holds."""
-    return kind.params[0] if kind.kind == "block_sets" else n // kind.params[0]
+def _stationary_counts(n: int, kind: Kind):
+    """(support size, lazy (value, decks of S_n giving it) pairs), in closed
+    form, for a statistic validated once by the caller (n >= 2).  The values
+    are statistic_reader's; when c decks give each, there are n!/c."""
+    k, ps = kind.kind, kind.params
+    cards = range(1, n + 1)
+
+    def each(values, c):
+        return factorial(n) // c, zip(values, itertools.repeat(c))
+
+    if k in ("top_card", "position_of"):
+        return each(cards, factorial(n - 1))
+    if k in ("top_k_order", "positions_of"):
+        # top k cards in order, or the positions of m cards: ordered m-tuples
+        m = ps[0] if k == "top_k_order" else len(ps)
+        return each(itertools.permutations(cards, m), factorial(n - m))
+    if k == "top_k_set":
+        return each(itertools.combinations(cards, ps[0]), factorial(ps[0]) * factorial(n - ps[0]))
+    if k == "parity":
+        return each(("even", "odd"), factorial(n) // 2)
+    if k in ("card_above", "card_below"):
+        # the card at the end, or glued to one other card
+        return each(["none", *(c for c in cards if c != ps[0])], factorial(n - 1))
+    if k == "relative_order":
+        return each(itertools.permutations(ps), factorial(n) // factorial(len(ps)))
+    if k == "distance":
+        # 2(n - d) position pairs d apart, the other n - 2 cards in any order
+        return n - 1, ((d, 2 * (n - d) * factorial(n - 2)) for d in range(1, n))
+    if k in ("block_sets", "modular_hands"):
+        # blocks of s cards, each in any order within its s positions
+        s = ps[0] if k == "block_sets" else n // ps[0]
+        return each(_ordered_partitions(tuple(cards), s), factorial(s) ** (n // s))
+    raise AssertionError(k)
 
 
 def stationary_support_size(n: int, kind: Kind) -> int:
     """How many values the statistic, validated once by the caller, takes
     over S_n, in closed form: the size of its stationary law's support."""
-    k, ps = kind.kind, kind.params
-    if k in ("top_card", "position_of", "card_above", "card_below"):
-        return n
-    if k in ("top_k_order", "positions_of"):
-        return perm(n, ps[0] if k == "top_k_order" else len(ps))
-    if k == "top_k_set":
-        return comb(n, ps[0])
-    if k == "parity":
-        return 2
-    if k == "relative_order":
-        return factorial(len(ps))
-    if k == "distance":
-        return n - 1
-    if k in ("block_sets", "modular_hands"):
-        s = _block_size(kind, n)
-        return factorial(n) // factorial(s) ** (n // s)
-    raise AssertionError(k)
+    return _stationary_counts(n, kind)[0]
 
 
 def stationary_tally(n: int, kind: Kind) -> dict:
     """value -> the number of decks of S_n giving it, in closed form, for a
-    statistic validated once by the caller (n >= 2).  The values are those
-    evaluate_statistic gives."""
-    k, ps = kind.kind, kind.params
-    cards = range(1, n + 1)
-    if k in ("top_card", "position_of"):
-        return dict.fromkeys(cards, factorial(n - 1))
-    if k in ("top_k_order", "positions_of"):
-        # top k cards in order, or the positions of m cards: ordered m-tuples
-        m = ps[0] if k == "top_k_order" else len(ps)
-        return dict.fromkeys(itertools.permutations(cards, m), factorial(n - m))
-    if k == "top_k_set":
-        return dict.fromkeys(itertools.combinations(cards, ps[0]),
-                             factorial(ps[0]) * factorial(n - ps[0]))
-    if k == "parity":
-        return dict.fromkeys(("even", "odd"), factorial(n) // 2)
-    if k in ("card_above", "card_below"):
-        # the card at the end, or glued to one other card
-        return dict.fromkeys(["none", *(c for c in cards if c != ps[0])], factorial(n - 1))
-    if k == "relative_order":
-        return dict.fromkeys(itertools.permutations(ps), factorial(n) // factorial(len(ps)))
-    if k == "distance":
-        # 2(n - d) position pairs d apart, the other n - 2 cards in any order
-        return {d: 2 * (n - d) * factorial(n - 2) for d in range(1, n)}
-    if k in ("block_sets", "modular_hands"):
-        # blocks of s cards, each in any order within its s positions
-        s = _block_size(kind, n)
-        return dict.fromkeys(_ordered_partitions(tuple(cards), s), factorial(s) ** (n // s))
-    raise AssertionError(k)
+    statistic validated once by the caller (n >= 2)."""
+    return dict(_stationary_counts(n, kind)[1])
 
 
 def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:

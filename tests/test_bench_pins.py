@@ -1,9 +1,10 @@
-"""The benchmark's pinned sampled payloads, replayed in the test suite.
+"""The benchmark's pinned payloads, every one replayed in the test suite.
 
 perfbench/digests.json pins the SHA-256 of every payload the benchmark
-checks.  The seeded Monte-Carlo ones depend on every generator output the
-sampler draws, in order, so a draw change that moves a byte must fail
-here, not only when the benchmark runs.  perfbench/ is read, never written.
+checks: each workload's quick list and its main list for the default
+seed.  A change that moves a byte of any of them, a seeded sampled one or
+an exact one, must fail here, not only when the benchmark runs.
+perfbench/ is read, never written.
 """
 
 import hashlib
@@ -28,28 +29,43 @@ def load_workloads():
     return module
 
 
-def sampled_invocations():
-    """Every pinned sampled invocation: the sampling main list for the
-    default seed, then the sampling and certify quick lists."""
+def pinned_invocations():
+    """(sampled, exact): every pinned invocation, from each workload's quick
+    list and its main list for the default seed.  The sampled ones keep the
+    order of the sampling main list, then the sampling and certify quick
+    lists; the exact ones are each listed once."""
     workloads = load_workloads()
-    listed = (workloads.main_invocations("sampling", workloads.DEFAULT_SEED)
-              + workloads.quick_invocations("sampling")
-              + workloads.quick_invocations("certify"))
-    return [inv for inv in listed if "--samples" in inv.argv]
+    sampled = (workloads.main_invocations("sampling", workloads.DEFAULT_SEED)
+               + workloads.quick_invocations("sampling")
+               + workloads.quick_invocations("certify"))
+    listed = [inv for workload in workloads.WORKLOADS
+              for inv in (workloads.quick_invocations(workload)
+                          + workloads.main_invocations(workload, workloads.DEFAULT_SEED))]
+    exact = {" ".join(inv.argv): inv for inv in listed if "--samples" not in inv.argv}
+    return [inv for inv in sampled if "--samples" in inv.argv], list(exact.values())
 
 
 PINS = json.loads((PERFBENCH / "digests.json").read_text())
-INVOCATIONS = sampled_invocations()
+SAMPLED, EXACT = pinned_invocations()
 
 
 def test_every_sampling_slot_is_replayed():
-    assert len(INVOCATIONS) == 8
-    assert all(" ".join(inv.argv) in PINS for inv in INVOCATIONS)
+    """Every pinned payload, sampled or exact, is replayed below."""
+    assert {" ".join(inv.argv) for inv in SAMPLED + EXACT} == set(PINS)
 
 
-@pytest.mark.parametrize("inv", INVOCATIONS, ids=lambda inv: " ".join(inv.argv[:3]))
-def test_sampled_payload_matches_the_benchmark_pin(capsys, inv):
+def replay(capsys, inv):
     code = main(list(inv.argv))
     out = capsys.readouterr().out
     assert code == inv.expect_code
     assert hashlib.sha256(out.encode()).hexdigest() == PINS[" ".join(inv.argv)]
+
+
+@pytest.mark.parametrize("inv", SAMPLED, ids=lambda inv: " ".join(inv.argv[:3]))
+def test_sampled_payload_matches_the_benchmark_pin(capsys, inv):
+    replay(capsys, inv)
+
+
+@pytest.mark.parametrize("inv", EXACT, ids=lambda inv: " ".join(inv.argv))
+def test_exact_payload_matches_the_benchmark_pin(capsys, inv):
+    replay(capsys, inv)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mixscope import shuffles
-from mixscope.shuffles import CHAINS
+from mixscope.shuffles import CHAINS, STATISTIC_KINDS
 from mixscope.verify import PREDICATE_KINDS, enumerate_paths, path_count
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixscope"
@@ -256,6 +256,23 @@ def test_predicate_ladder_check_sees_a_ladder():
     tree = ast.parse("def f(pred, summary):\n    if pred.kind == 'k_distinct':\n"
                      "        return len(summary)\n    return pred.kind in ('always', 'x')\n")
     assert _literal_comparisons(tree, PREDICATE_KINDS) == [(2, "f"), (4, "f")]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_statistic_kind_ladders(module):
+    """A statistic's kind is read once per request, by statistic_reader, and
+    its stationary count and support size are one closed form, in
+    _stationary_counts."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    found = [scope for _, scope in _literal_comparisons(tree, STATISTIC_KINDS)
+             if scope not in ("statistic_reader", "_stationary_counts")]
+    assert found == []
+
+
+def test_statistic_ladder_check_sees_a_ladder():
+    tree = ast.parse("def f(stat, deck):\n    if stat.kind == 'top_card':\n"
+                     "        return deck[0]\n    return stat.kind in ('parity', 'x')\n")
+    assert _literal_comparisons(tree, STATISTIC_KINDS) == [(2, "f"), (4, "f")]
 
 
 def _retired_move_kinds(tree):

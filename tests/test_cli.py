@@ -401,6 +401,19 @@ class TestCycle:
         assert code == 2
         assert "alternate" in json.loads(err.splitlines()[0])["error"]["message"]
 
+    @pytest.mark.parametrize("sets,message", [
+        ("0,12;1,2,3,4,5,6,7,8,9,10,11", "set (0, 12) holds a vertex outside 0..11"),
+        ("0,-1;1,2,3,4,5,6,7,8,9,10,11", "set (-1, 0) holds a vertex outside 0..11"),
+    ], ids=["past-end", "negative"])
+    def test_set_vertex_outside_the_cycle_rejected(self, capsys, sets, message):
+        """A member past either end of the cycle is a usage error, checked
+        before its color is read."""
+        code, out, err = run_cli(capsys, "cycle", "--coloring", "RRBRBBRRBRBB",
+                                 "--x0", "0", "--horizon", "3", "--sets", sets)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {"code": "usage", "message": message}
+
     def test_non_partition_sets_rejected(self, capsys):
         code, _, err = run_cli(capsys, "cycle", "--coloring", "RRBB",
                                "--x0", "0", "--horizon", "2",

@@ -278,6 +278,11 @@ class TestStoppingTails:
         tail = coverage_time_tail(MOD6, 0, 6, sets=explicit)
         assert tail[:3] == [F(1), F(1, 2), F(3, 8)]
 
+    def test_explicit_set_vertex_is_checked_before_its_color(self):
+        sets = [(0, 12), tuple(range(1, 12))]
+        with pytest.raises(ValueError, match=r"^set \(0, 12\) holds a vertex outside 0\.\.11$"):
+            coverage_time_tail(MOD6, 0, 3, sets=sets)
+
     def test_coverage_never_slower_than_distance(self):
         """Moving 2k-1 from the origin forces coverage, so T_cov <= T_dist."""
         rng = random.Random(99)

@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 import pytest
 
-from mixscope import verify
+from mixscope import shuffles, verify
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, separation_distance
 from mixscope.shuffles import (
@@ -583,6 +583,28 @@ def test_statistic_validated_at_every_entry(stat):
     for call in calls:
         with pytest.raises(ValueError, match="needs one"):
             call()
+
+
+@pytest.mark.parametrize("route", ["certificate", "law", "sampler"])
+def test_statistic_compiled_once_per_request(monkeypatch, route):
+    """Each report reads its statistic's kind once: one statistic_reader
+    call, however many decks it evaluates."""
+    real, compiled = shuffles.statistic_reader, []
+
+    def counting(kind):
+        compiled.append(kind)
+        return real(kind)
+
+    monkeypatch.setattr(shuffles, "statistic_reader", counting)
+    stat = parse_statistic("top_k_order:2", 4)
+    if route == "certificate":
+        check_strong_stationarity("rtt", 4, 3, parse_predicate("k_distinct:2", 4, "rtt"), stat)
+    elif route == "law":
+        statistic_law_at("walk1", 4, 3, stat, stationary_statistic_distribution(4, stat))
+    else:
+        monte_carlo_conditional("riffle", 4, 3, parse_predicate("always", 4, "riffle"), stat,
+                                samples=500, seed=3)
+    assert compiled == [stat]
 
 
 class TestPredicateValidation:
