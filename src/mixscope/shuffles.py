@@ -43,7 +43,8 @@ checked by validate_kind.  A statistic's kind is read once per request:
 statistic_reader compiles it into a function of a deck, which
 statistic_tally, the one loop over weighted decks, calls.  One closed form
 per kind, _stationary_counts, gives both the support size the budget is
-charged and the count over the uniform deck, without evaluating anything.
+charged, which builds no factorial of n and lists no value, and the count
+over the uniform deck, without evaluating anything.
 
 Multi-step riffle strings record the earliest step's bit first.  One-shot
 application must agree with composing single-bit steps, and a stable sort
@@ -58,7 +59,7 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm, prod
 from operator import itemgetter
 
 from .budget import require_within_budget
@@ -276,9 +277,8 @@ def statistic_reader(kind: Kind):
     if k == "parity":
         return _parity
     if k in ("card_above", "card_below"):
-        # the deck between two "none" ends, read just above or below the card
-        card, offset = ps[0], 0 if k == "card_above" else 2
-        return lambda deck: ("none", *deck, "none")[deck.index(card) + offset]
+        card, step = ps[0], -1 if k == "card_above" else 1  # "none" off either end
+        return lambda deck: deck[i] if 0 <= (i := deck.index(card) + step) < len(deck) else "none"
     if k == "relative_order":
         chosen = set(ps)
         return lambda deck: tuple(c for c in deck if c in chosen)
@@ -332,37 +332,40 @@ def _ordered_partitions(cards: tuple, size: int):
 
 
 def _stationary_counts(n: int, kind: Kind):
-    """(support size, lazy (value, decks of S_n giving it) pairs), in closed
-    form, for a statistic validated once by the caller (n >= 2).  The values
-    are statistic_reader's; when c decks give each, there are n!/c."""
+    """(support size, a thunk of the (value, decks of S_n giving it) pairs),
+    in closed form, for a statistic validated once by the caller (n >= 2);
+    the values are statistic_reader's.  A size lists no value and builds no
+    count (the block kinds' is a product of binomials, not n!), so a request
+    refused for its support size is refused before either."""
     k, ps = kind.kind, kind.params
     cards = range(1, n + 1)
 
-    def each(values, c):
-        return factorial(n) // c, zip(values, itertools.repeat(c))
+    def each(size, values):  # values() lists them; the same n!/size decks give each
+        return size, lambda: zip(values(), itertools.repeat(factorial(n) // size))
 
     if k in ("top_card", "position_of"):
-        return each(cards, factorial(n - 1))
+        return each(n, lambda: cards)
     if k in ("top_k_order", "positions_of"):
         # top k cards in order, or the positions of m cards: ordered m-tuples
         m = ps[0] if k == "top_k_order" else len(ps)
-        return each(itertools.permutations(cards, m), factorial(n - m))
+        return each(perm(n, m), lambda: itertools.permutations(cards, m))
     if k == "top_k_set":
-        return each(itertools.combinations(cards, ps[0]), factorial(ps[0]) * factorial(n - ps[0]))
+        return each(comb(n, ps[0]), lambda: itertools.combinations(cards, ps[0]))
     if k == "parity":
-        return each(("even", "odd"), factorial(n) // 2)
+        return each(2, lambda: ("even", "odd"))
     if k in ("card_above", "card_below"):
         # the card at the end, or glued to one other card
-        return each(["none", *(c for c in cards if c != ps[0])], factorial(n - 1))
+        return each(n, lambda: ["none", *(c for c in cards if c != ps[0])])
     if k == "relative_order":
-        return each(itertools.permutations(ps), factorial(n) // factorial(len(ps)))
+        return each(factorial(len(ps)), lambda: itertools.permutations(ps))
     if k == "distance":
         # 2(n - d) position pairs d apart, the other n - 2 cards in any order
-        return n - 1, ((d, 2 * (n - d) * factorial(n - 2)) for d in range(1, n))
+        return n - 1, lambda: ((d, 2 * (n - d) * f) for f in [factorial(n - 2)] for d in cards[:-1])
     if k in ("block_sets", "modular_hands"):
         # blocks of s cards, each in any order within its s positions
         s = ps[0] if k == "block_sets" else n // ps[0]
-        return each(_ordered_partitions(tuple(cards), s), factorial(s) ** (n // s))
+        size = prod(comb(n - i, s) for i in range(0, n, s))  # n!/s!^(n/s)
+        return each(size, lambda: _ordered_partitions(tuple(cards), s))
     raise AssertionError(k)
 
 
@@ -375,7 +378,7 @@ def stationary_support_size(n: int, kind: Kind) -> int:
 def stationary_tally(n: int, kind: Kind) -> dict:
     """value -> the number of decks of S_n giving it, in closed form, for a
     statistic validated once by the caller (n >= 2)."""
-    return dict(_stationary_counts(n, kind)[1])
+    return dict(_stationary_counts(n, kind)[1]())
 
 
 def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:

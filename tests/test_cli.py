@@ -545,6 +545,26 @@ class TestExitCodes:
         assert error["code"] == "capacity"
         assert "Monte-Carlo" in error["message"]
 
+    @pytest.mark.parametrize("statistic", ["top_card", "top_k_order:2", "top_k_set:2",
+                                           "positions_of:1,2", "card_below:3", "distance:1,2"])
+    def test_huge_stationary_support_is_refused_at_once(self, capsys, monkeypatch, statistic):
+        """A sampled request at n = 10^8 whose stationary support is over the
+        budget exits 3 before any factorial is built or any count listed."""
+        def refuse(*args):
+            raise AssertionError("a refused stationary law built a factorial or a count")
+
+        monkeypatch.setattr(shuffles, "factorial", refuse)
+        monkeypatch.setattr(shuffles, "stationary_tally", refuse)
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "100000000",
+                                 "--t", "1", "--statistic", statistic, "--samples", "1",
+                                 "--seed", "1")
+        assert code == 3
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "capacity"
+        assert f"stationary law of {statistic} n=100000000 needs " in error["message"]
+
     def test_long_horizons_are_budgeted(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXSCOPE_BUDGET", "1000")
         # 6 vertices x 3 moves x 69 steps: the sweep runs on to t* for c=2
