@@ -59,7 +59,6 @@ from .verify import (
     walk1_position_distribution,
 )
 from .cycle import (
-    AlternatingSet,
     alternating_decomposition,
     check_alternating,
     check_red_dominance,
@@ -113,7 +112,6 @@ __all__ = [
     "prob_strings_distinct",
     "statistic_law_at",
     "walk1_position_distribution",
-    "AlternatingSet",
     "alternating_decomposition",
     "check_alternating",
     "check_red_dominance",

@@ -25,7 +25,6 @@ from fractions import Fraction
 from . import __version__
 from .budget import CapacityError, enumeration_budget
 from .cycle import (
-    AlternatingSet,
     alternating_decomposition,
     check_alternating,
     check_red_dominance,
@@ -218,7 +217,9 @@ def _chebyshev_times(raw: str, k: int):
     t_stars = []
     for c in cs:
         t_star = chebyshev_time(k, c)
-        if not math.isfinite(t_star):  # nan, inf, or so large a c that t* overflows
+        # nan, inf, so large a c that t* overflows, or so small a c that its
+        # guarantee 1/c^2 divides by zero or overflows
+        if not (math.isfinite(t_star) and c * c and math.isfinite(1.0 / (c * c))):
             raise UsageError(message)
         t_stars.append(math.ceil(t_star))
     return cs, t_stars
@@ -244,9 +245,7 @@ def _run_cycle(args: argparse.Namespace) -> dict:
     results = {
         "k": k,
         "sets": [list(m) for m in dom.sets],
-        "midpoints_half_units": [
-            list(midpoints(AlternatingSet(m), len(coloring))) for m in dom.sets
-        ],
+        "midpoints_half_units": [list(midpoints(m, len(coloring))) for m in dom.sets],
         "separation": seps,
         "coverage_tail": cov,
         "vertex_count_tail": vtx,
@@ -294,16 +293,16 @@ def _run_decompose(args: argparse.Namespace) -> dict:
     k = compute_k(coloring)
     sets = alternating_decomposition(coloring)
     gaps = [max_gap(a, size) for a in sets]
-    flat = sorted(v for a in sets for v in a.members)
+    flat = sorted(v for a in sets for v in a)
     results = {
         "k": k,
-        "sets": [list(a.members) for a in sets],
+        "sets": [list(a) for a in sets],
         "midpoints_half_units": [list(midpoints(a, size)) for a in sets],
         "max_gaps": gaps,
         "gap_bound": 2 * k - 1,
         "gaps_within_bound": all(g <= 2 * k - 1 for g in gaps),
         "partition_ok": flat == list(range(size)),
-        "alternating_ok": all(check_alternating(coloring, a.members) for a in sets),
+        "alternating_ok": all(check_alternating(coloring, a) for a in sets),
     }
     if args.check_minimality:
         if size > MINIMALITY_SEARCH_CAP:
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         _error_line("internal", str(exc))
         return 4
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _error_line("usage", str(exc))
         return 2
     except CapacityError as exc:

@@ -97,27 +97,21 @@ def compute_k(coloring: tuple) -> int:
     return hi - lo
 
 
-@dataclass(frozen=True)
-class AlternatingSet:
-    """Vertices, in cyclic order, whose colors strictly alternate."""
-
-    members: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) < 2 or len(self.members) % 2 != 0:
-            raise ValueError("alternating set needs even cardinality >= 2")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate members")
+def _sorted_members(members) -> tuple:
+    """The members of a set of the cycle, sorted: an even number >= 2 of
+    distinct vertices, or ValueError."""
+    ordered = tuple(sorted(members))
+    if len(ordered) < 2 or len(ordered) % 2 != 0:
+        raise ValueError("alternating set needs even cardinality >= 2")
+    if len(set(ordered)) != len(ordered):
+        raise ValueError("duplicate members")
+    return ordered
 
 
 def check_alternating(coloring: tuple, members: tuple) -> bool:
     """Do the members' colors strictly alternate around the cycle?"""
     ordered = sorted(members)
-    return all(
-        coloring[ordered[i]] != coloring[ordered[(i + 1) % len(ordered)]]
-        for i in range(len(ordered))
-    )
+    return all(coloring[u] != coloring[w] for u, w in zip(ordered, ordered[1:] + ordered[:1]))
 
 
 def alternating_decomposition(coloring: tuple) -> list:
@@ -139,10 +133,7 @@ def alternating_decomposition(coloring: tuple) -> list:
     order = [(start + j) % size for j in range(size)]
     reds = [v for v in order if coloring[v] == RED]
     blues = [v for v in order if coloring[v] == BLUE]
-    return [
-        AlternatingSet(tuple(sorted(reds[i::k] + blues[i::k])))
-        for i in range(k)
-    ]
+    return [tuple(sorted(reds[i::k] + blues[i::k])) for i in range(k)]
 
 
 def cyclic_distance(a: int, b: int, size: int) -> int:
@@ -150,18 +141,13 @@ def cyclic_distance(a: int, b: int, size: int) -> int:
     return min(d, size - d)
 
 
-def max_gap(aset: AlternatingSet, cycle_size: int) -> int:
+def max_gap(members, cycle_size: int) -> int:
     """Largest cyclic distance between consecutive members."""
-    members = sorted(aset.members)
-    if not members:
-        raise ValueError("empty set")
-    return max(
-        (members[(i + 1) % len(members)] - members[i]) % cycle_size
-        for i in range(len(members))
-    )
+    members = _sorted_members(members)
+    return max((w - u) % cycle_size for u, w in zip(members, members[1:] + members[:1]))
 
 
-def midpoints(aset: AlternatingSet, cycle_size: int) -> tuple:
+def midpoints(members, cycle_size: int) -> tuple:
     """Half-unit positions halfway between consecutive members.
 
     Half-units live on a circle of size 2 * cycle_size: even values are
@@ -169,7 +155,7 @@ def midpoints(aset: AlternatingSet, cycle_size: int) -> tuple:
     the midpoint of its member-free arc; a two-member set yields one
     midpoint per arc.
     """
-    members = sorted(aset.members)
+    members = _sorted_members(members)
     return tuple(sorted((2 * u + (w - u) % cycle_size) % (2 * cycle_size)
                         for u, w in zip(members, members[1:] + members[:1])))
 
@@ -244,12 +230,11 @@ def separation_profile(coloring: tuple, x0: int, horizon: int):
     return out
 
 
-def _alternating_members(coloring: tuple, aset) -> tuple:
-    """The sorted members of an AlternatingSet or member sequence, checked
-    as a set of the cycle: even size >= 2, distinct members, every member
-    a vertex in 0..size-1, and colors that strictly alternate."""
-    members = tuple(sorted(aset.members if isinstance(aset, AlternatingSet) else aset))
-    AlternatingSet(members)
+def _alternating_members(coloring: tuple, members) -> tuple:
+    """The members sorted, checked as a set of the cycle: even size >= 2,
+    distinct members, every member a vertex in 0..size-1, and colors that
+    strictly alternate."""
+    members = _sorted_members(members)
     if members[0] < 0 or members[-1] >= len(coloring):
         raise ValueError(f"set {members} holds a vertex outside 0..{len(coloring) - 1}")
     if not check_alternating(coloring, members):
@@ -258,11 +243,11 @@ def _alternating_members(coloring: tuple, aset) -> tuple:
 
 
 def _decomposition_members(coloring: tuple, sets) -> list:
-    """The member tuples of explicit sets (AlternatingSets or member
-    sequences, each checked by _alternating_members, together holding each
-    vertex once), or of the canonical decomposition when sets is None."""
+    """The member tuples of explicit sets (member sequences, each checked
+    by _alternating_members, together holding each vertex once), or of the
+    canonical decomposition when sets is None."""
     if sets is None:
-        return [a.members for a in alternating_decomposition(coloring)]
+        return alternating_decomposition(coloring)
     out = [_alternating_members(coloring, s) for s in sets]
     flat = sorted(v for members in out for v in members)
     if flat != list(range(len(coloring))):
@@ -298,18 +283,18 @@ def _tail(table: tuple, start: int, horizon: int) -> list:
     return [Fraction(count, 4 ** t) for t, count in enumerate(alive)]
 
 
-def _alive_states(horizon: int, absorbed) -> int:
-    """States of the alive windows, counted without listing them.
+def _alive_windows(horizon: int, absorbed) -> list:
+    """R(l) for each alive left end l = 0, -1, ...: its largest alive right
+    end.  The one reader of an absorption rule.
 
     Both tails' absorption rules are monotone under widening (a window that
     holds a midpoint of every set, or enough vertices, still does when
     widened), so the windows the walk can reach in 2 * horizon half-steps
     without absorption are exactly those with l <= 0 <= r,
-    r - l <= 2 * horizon and not absorbed(l, r).
-    For each left end l their right ends form a prefix [0, R(l)], found by
-    binary search, and the window [l, r] holds r - l + 1 positions.
+    r - l <= 2 * horizon and not absorbed(l, r): for each left end l their
+    right ends form a prefix [0, R(l)], found by binary search.
     """
-    states = 0
+    ends = []
     for l in range(0, -2 * horizon - 1, -1):
         if absorbed(l, 0):
             break
@@ -320,40 +305,38 @@ def _alive_states(horizon: int, absorbed) -> int:
                 hi = mid - 1
             else:
                 lo = mid
-        states += (lo + 1) * (1 - l) + lo * (lo + 1) // 2
-    return states
+        ends.append(lo)
+    return ends
 
 
 def _halfstep_tail(coloring, x0, horizon, absorbed, name):
     """Window-table engine for the coverage and vertex-count tails.
 
-    Charged first, as the alive windows' states (_alive_states) x 2 moves
-    x 2 * horizon half-steps.  Then state (l, r, x) of an alive window
-    [l, r] (half-units from the start) is numbered first[l, r] + x, windows
-    in the order _alive_states counts them, and the zero slot `states`.
-    State x is fed from x - 1 and x + 1 of its window, except at an end:
-    x = l by the narrower window [l + 1, r] at l + 1, x = r by [l, r - 1]
-    at r - 1, and [0, 0] by the zero slot.  Mass that steps into a window
-    where `absorbed(l, r)` holds has no state, so it is dropped.
+    The alive windows [l, r] are those _alive_windows lists, and window
+    [l, r] holds r - l + 1 positions, so their states are counted in
+    closed form and charged first, x 2 moves x 2 * horizon half-steps.
+    Then state (l, r, x) (half-units from the start) is numbered
+    first[l, r] + x, windows in the order listed, and the zero slot
+    `states`.  State x is fed from x - 1 and x + 1 of its window, except
+    at an end: x = l by the narrower window [l + 1, r] at l + 1, x = r by
+    [l, r - 1] at r - 1, and [0, 0] by the zero slot.  Mass that steps
+    into an absorbed window has no state, so it is dropped.
     """
     validate_coloring(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
-    states = _alive_states(horizon, absorbed)
+    ends = _alive_windows(horizon, absorbed)
+    states = sum((right + 1) * (right + 2 * i + 2) // 2 for i, right in enumerate(ends))
     require_within_budget(states * 2 * 2 * horizon, f"{name} tail on {size} vertices to t={horizon}",
                           "use a shorter horizon")
     if not states:
         return [Fraction(0)] * (horizon + 1)
     first, before, after = {}, [], []
-    for l in range(0, -2 * horizon - 1, -1):
-        for r in range(2 * horizon + l + 1):
-            if absorbed(l, r):
-                break
+    for l, right in zip(range(0, -len(ends), -1), ends):
+        for r in range(right + 1):
             base = first[l, r] = len(before) - l
             before += [first[l + 1, r] + l + 1 if l else states, *range(base + l, base + r)]
             after += [*range(base + l + 1, base + r + 1), first[l, r - 1] + r - 1 if r else states]
-        if (l, 0) not in first:
-            break
     return _tail((before, after), 0, horizon)
 
 
@@ -363,7 +346,7 @@ def _coverage_reach(members: list, size: int) -> list:
     pointers over the midpoints, sorted and laid twice around."""
     half_size = 2 * size
     marks = sorted((m + lap * half_size, i) for i, ms in enumerate(members)
-                   for m in midpoints(AlternatingSet(ms), size) for lap in (0, 1))
+                   for m in midpoints(ms, size) for lap in (0, 1))
     held = [0] * len(members)
     missing = len(members)
     start = end = 0  # marks[start:end] are held: those in the window [a, marks[end-1]]
@@ -446,7 +429,7 @@ def distance_moved_tail(coloring: tuple, x0: int, horizon: int):
     return _tail(([width, *range(width - 1)], [*range(1, width), width]), need - 1, horizon)
 
 
-def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):
+def reflection_balance(coloring: tuple, members, x0: int, horizon: int):
     """Per lazy time t, the exact masses of (crossed a midpoint of the set
     and currently on a red member, likewise blue).
 
@@ -462,8 +445,8 @@ def reflection_balance(coloring: tuple, aset, x0: int, horizon: int):
     validate_coloring(coloring)
     size = len(coloring)
     _check_start(size, x0, horizon)
-    members = _alternating_members(coloring, aset)
-    mids = midpoints(AlternatingSet(members), size)
+    members = _alternating_members(coloring, members)
+    mids = midpoints(members, size)
     require_within_budget(2 * size * 2 * 2 * horizon,
                           f"reflection balance on {size} vertices to t={horizon}",
                           "use a shorter horizon")
@@ -533,13 +516,12 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
     exactly for every t <= horizon, from the same integer sweep as
     separation_profile, and its minimum reported.
     """
-    members_list = _decomposition_members(coloring, sets)
-    partition = tuple(tuple(m) for m in members_list)
+    partition = tuple(_decomposition_members(coloring, sets))
     size = len(coloring)
     _check_start(size, x0, horizon)
     nearest_reports = []
     failing = []
-    for idx, members in enumerate(members_list):
+    for idx, members in enumerate(partition):
         best = min(cyclic_distance(v, x0, size) for v in members)
         at_best = tuple(v for v in members if cyclic_distance(v, x0, size) == best)
         colors = {coloring[v] for v in at_best}

@@ -19,7 +19,7 @@ to the budget as n! rows x one step's branches; their states are the decks
 themselves, in itertools.permutations order.  No report uses them: the
 exact law at time t is a forward count over the decks reachable from the
 identity (verify.statistic_law_at), and the stationary law of a statistic
-a closed-form count of the decks giving each value, charged to the budget
+a closed-form count per value over its own total, charged to the budget
 by its support size, so no report lists S_n.  The kernels stay as the
 independent oracle of the law at time t; the tests keep the count over all
 of S_n as the stationary law's oracle.
@@ -42,9 +42,9 @@ Each statistic and predicate kind maps to a rule of PARAMETER_RULES,
 checked by validate_kind.  A statistic's kind is read once per request:
 statistic_reader compiles it into a function of a deck, which
 statistic_tally, the one loop over weighted decks, calls.  One closed form
-per kind, _stationary_counts, gives both the support size the budget is
-charged, which builds no factorial of n and lists no value, and the count
-over the uniform deck, without evaluating anything.
+per kind, _stationary_counts, gives the support size the budget is
+charged, as factors it multiplies only as far as it must, and each
+value's count over the law's own total, without evaluating anything.
 
 Multi-step riffle strings record the earliest step's bit first.  One-shot
 application must agree with composing single-bit steps, and a stable sort
@@ -59,10 +59,10 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import factorial
 from operator import itemgetter
 
-from .budget import require_within_budget
+from .budget import bounded_product, require_within_budget
 from .dist import Distribution, Kernel, law_from_tally
 
 MAX_DENSE_N = 8
@@ -88,20 +88,14 @@ def apply_move(deck: tuple, card: int) -> tuple:
     return (card,) + deck[:i] + deck[i + 1:]
 
 
-def _require_dense(n: int) -> None:
-    if not 2 <= n <= MAX_DENSE_N:
-        raise ValueError(
-            f"dense kernels cover 2 <= n <= {MAX_DENSE_N}; n={n} needs sampler mode"
-        )
-
-
 def _dense_kernel(name: str, n: int) -> Kernel:
     """One step of the named chain over the decks of S_n, listed once in
     permutations order: every branch applied with the chain's deck step to
     every deck, charged to the budget first as n! rows x one step's
     branches."""
     chain = CHAINS[name]
-    _require_dense(n)
+    if not 2 <= n <= MAX_DENSE_N:
+        raise ValueError(f"dense kernels cover 2 <= n <= {MAX_DENSE_N}; n={n} needs sampler mode")
     require_within_budget(factorial(n) * chain.branch_count(n), f"dense kernel {name} n={n}",
                           "use a smaller n")
     moves, denom = chain.branches(n)
@@ -331,68 +325,69 @@ def _ordered_partitions(cards: tuple, size: int):
             yield (block,) + tail
 
 
+def _binomial(m: int, k: int):
+    """C(m, k) as factors for bounded_product: (m - i)/(i + 1) for
+    i < min(k, m - k), whose running products C(m, i + 1) never fall."""
+    below = min(k, m - k)
+    return map(Fraction, range(m, m - below, -1), range(1, below + 1))
+
+
 def _stationary_counts(n: int, kind: Kind):
-    """(support size, a thunk of the (value, decks of S_n giving it) pairs),
-    in closed form, for a statistic validated once by the caller (n >= 2);
-    the values are statistic_reader's.  A size lists no value and builds no
-    count (the block kinds' is a product of binomials, not n!), so a request
-    refused for its support size is refused before either."""
+    """(support size, multiple, a thunk of the (value, count) pairs) in
+    closed form, for a statistic validated once by the caller (n >= 2); the
+    counts sum to the size times the multiple.  The size is the factors of
+    its product, for bounded_product, so a request refused for its support
+    size builds no huge number and lists no value."""
     k, ps = kind.kind, kind.params
     cards = range(1, n + 1)
 
-    def each(size, values):  # values() lists them; the same n!/size decks give each
-        return size, lambda: zip(values(), itertools.repeat(factorial(n) // size))
+    def each(size, values):  # values() lists them; one count each, over the support size
+        return size, 1, lambda: zip(values(), itertools.repeat(1))
 
     if k in ("top_card", "position_of"):
-        return each(n, lambda: cards)
+        return each((n,), lambda: cards)
     if k in ("top_k_order", "positions_of"):
         # top k cards in order, or the positions of m cards: ordered m-tuples
         m = ps[0] if k == "top_k_order" else len(ps)
-        return each(perm(n, m), lambda: itertools.permutations(cards, m))
+        return each(range(n - m + 1, n + 1), lambda: itertools.permutations(cards, m))
     if k == "top_k_set":
-        return each(comb(n, ps[0]), lambda: itertools.combinations(cards, ps[0]))
+        return each(_binomial(n, ps[0]), lambda: itertools.combinations(cards, ps[0]))
     if k == "parity":
-        return each(2, lambda: ("even", "odd"))
+        return each((2,), lambda: ("even", "odd"))
     if k in ("card_above", "card_below"):
         # the card at the end, or glued to one other card
-        return each(n, lambda: ["none", *(c for c in cards if c != ps[0])])
+        return each((n,), lambda: ["none", *(c for c in cards if c != ps[0])])
     if k == "relative_order":
-        return each(factorial(len(ps)), lambda: itertools.permutations(ps))
+        return each(range(2, len(ps) + 1), lambda: itertools.permutations(ps))
     if k == "distance":
-        # 2(n - d) position pairs d apart, the other n - 2 cards in any order
-        return n - 1, lambda: ((d, 2 * (n - d) * f) for f in [factorial(n - 2)] for d in cards[:-1])
+        # 2(n - d) of the n(n - 1) ordered position pairs lie d apart
+        return (n - 1,), n, lambda: ((d, 2 * (n - d)) for d in cards[:-1])
     if k in ("block_sets", "modular_hands"):
-        # blocks of s cards, each in any order within its s positions
+        # n!/s!^(n/s) ordered partitions into blocks of s cards
         s = ps[0] if k == "block_sets" else n // ps[0]
-        size = prod(comb(n - i, s) for i in range(0, n, s))  # n!/s!^(n/s)
+        size = itertools.chain.from_iterable(_binomial(n - i, s) for i in range(0, n, s))
         return each(size, lambda: _ordered_partitions(tuple(cards), s))
     raise AssertionError(k)
 
 
-def stationary_support_size(n: int, kind: Kind) -> int:
-    """How many values the statistic, validated once by the caller, takes
-    over S_n, in closed form: the size of its stationary law's support."""
-    return _stationary_counts(n, kind)[0]
-
-
 def stationary_tally(n: int, kind: Kind) -> dict:
-    """value -> the number of decks of S_n giving it, in closed form, for a
+    """value -> its count in closed form (_stationary_counts), for a
     statistic validated once by the caller (n >= 2)."""
-    return dict(_stationary_counts(n, kind)[1]())
+    return dict(_stationary_counts(n, kind)[2]())
 
 
 def stationary_statistic_distribution(n: int, kind: Kind) -> Distribution:
     """Exact law of the statistic under the uniform deck: the closed-form
-    count of the decks giving each value (stationary_tally), divided once
-    by n!.  Charged to the budget as its support size, before any value is
-    listed."""
+    counts (stationary_tally) over their total.  Charged to the budget as
+    its support size, before any value is listed."""
     if n < 2:
         raise ValueError("deck needs at least 2 cards")
     validate_statistic_kind(kind, n)
-    require_within_budget(stationary_support_size(n, kind),
-                          f"stationary law of {kind.label()} n={n}",
+    factors, multiple, _ = _stationary_counts(n, kind)
+    size = bounded_product(factors)
+    require_within_budget(size, f"stationary law of {kind.label()} n={n}",
                           "use a statistic with fewer values")
-    return law_from_tally(stationary_tally(n, kind), factorial(n))
+    return law_from_tally(stationary_tally(n, kind), size * multiple)
 
 
 # Chains

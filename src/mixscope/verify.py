@@ -52,9 +52,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, sqrt
 
-from .budget import require_within_budget
+from .budget import bounded_product, require_within_budget
 from .dist import Distribution, InvariantError, law_from_tally, _canon_key
 from .shuffles import (
     CHAINS,
@@ -62,7 +62,6 @@ from .shuffles import (
     MAX_DENSE_N,
     RIFFLE_PREDICATES,
     Kind,
-    _require_dense,
     identity_deck,
     parse_kind,
     stationary_statistic_distribution,
@@ -164,12 +163,14 @@ def path_count(chain: str, n: int, t: int) -> int:
     return CHAINS[chain].branch_count(n) ** t
 
 
-def _require_path_budget(chain: str, n: int, t: int) -> None:
+def _require_path_budget(chain: str, n: int, t: int) -> int:
+    """The path count b^max(t, 1), charged; a power over the budget is never built."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     # t = 0 still lists one step's branches: all 2^n columns for the riffle
-    require_within_budget(path_count(chain, n, max(t, 1)),
-                          f"path enumeration {chain} n={n} t={t}", "use Monte-Carlo mode")
+    paths = bounded_product(itertools.repeat(CHAINS[chain].branch_count(n), max(t, 1)))
+    require_within_budget(paths, f"path enumeration {chain} n={n} t={t}", "use Monte-Carlo mode")
+    return paths
 
 
 def enumerate_paths(chain: str, n: int, t: int, start: tuple | None = None):
@@ -320,12 +321,11 @@ def check_strong_stationarity(chain: str, n: int, t: int,
     """
     validate_statistic_kind(statistic, n)
     validate_predicate_kind(predicate, n, chain)
-    _require_path_budget(chain, n, t)
+    paths = _require_path_budget(chain, n, t)
     if n > MAX_DENSE_N:
         # a lumped state holds a whole deck, so past the dense range the
         # paths' n-card decks, not the paths, bound the count's memory
-        require_within_budget(path_count(chain, n, max(t, 1)) * n,
-                              f"lumped decks {chain} n={n} t={t}", "use Monte-Carlo mode")
+        require_within_budget(paths * n, f"lumped decks {chain} n={n} t={t}", "use Monte-Carlo mode")
     # charged before the lumped count, so a support over the budget is refused before any work
     target = stationary_statistic_distribution(n, statistic)
     counts, holds, stable = _lumped_counts(chain, n, t, predicate)
@@ -363,14 +363,15 @@ def statistic_law_at(chain: str, n: int, t: int, statistic: Kind,
     check_strong_stationarity).  The statistic is evaluated once per reached
     deck.  The support is that of the statistic's stationary law, which the
     caller passes in: its whole image over S_n, zero-padded.  The dense
-    kernels in shuffles are its oracle.  Charged to the budget as n! states
-    x one step's branches x max(t, 1) steps before it starts.
+    kernels in shuffles are its oracle.  Charged to the budget, its only
+    guard, as n! states x max(t, 1) steps x one step's branches before it
+    starts, n! first, so a riffle's 2^n branches are built only for small n.
     """
-    _require_dense(n)
     validate_statistic_kind(statistic, n)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    require_within_budget(factorial(n) * CHAINS[chain].branch_count(n) * max(t, 1),
+    require_within_budget(bounded_product(itertools.chain(range(2, n + 1), (max(t, 1),),
+                                                          map(CHAINS[chain].branch_count, (n,)))),
                           f"kernel evolution {chain} n={n} t={t}", "use Monte-Carlo mode")
     counts, _, _ = _lumped_counts(chain, n, t, ALWAYS)
     tally = statistic_tally(statistic, ((deck, count) for (deck, _), count in counts.items()))

@@ -211,14 +211,14 @@ def test_criterion_07_cycle_decomposition():
             k = compute_k(coloring)
             sets = alternating_decomposition(coloring)
             assert len(sets) == k
-            assert sorted(v for a in sets for v in a.members) == list(range(size))
-            assert all(check_alternating(coloring, a.members) for a in sets)
+            assert sorted(v for a in sets for v in a) == list(range(size))
+            assert all(check_alternating(coloring, a) for a in sets)
             if check_min:
                 assert not has_alternating_partition(coloring, k - 1)
             for a in sets:
                 g = max_gap(a, size)
                 if g > 2 * k - 1:
-                    offenders.append(("".join(coloring), k, a.members, g))
+                    offenders.append(("".join(coloring), k, a, g))
 
         for size in (2, 4, 6, 8, 10):
             for marks in balanced_colorings(size):

@@ -16,7 +16,7 @@ import pytest
 
 from mixscope import __version__, cli, cycle, shuffles, verify
 from mixscope.cli import _jsonable, main
-from mixscope.dist import InvariantError, parse_rational
+from mixscope.dist import InvariantError, distribution_to_json, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -314,13 +314,28 @@ class TestStatMix:
         assert len(stationary["support"]) == 20 * 19 * 18
         assert set(stationary["weights"]) == {"1/6840"}
 
-    def test_exact_law_stops_at_the_dense_kernels(self, capsys):
-        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "9",
-                                 "--t", "2", "--statistic", "top_card")
-        assert code == 2
+    def test_exact_law_past_the_dense_kernels(self, capsys):
+        """The charge n! x b x max(t, 1), 9! x 9 x 2 here, is the exact law's
+        only guard; the law is the path oracle's over all 81 paths."""
+        doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "9", "--t", "2",
+                       "--statistic", "top_card")
+        stat = shuffles.parse_statistic("top_card", 9)
+        _, law = verify.conditional_statistic_distribution(
+            verify.enumerate_paths("rtt", 9, 2), verify.ALWAYS, stat, 2)
+        assert doc["results"]["law"] == distribution_to_json(law)
+
+    @pytest.mark.parametrize("n,statistic,needs", [
+        ("10", "top_card", "36288000"),  # 10! x 10 x 1
+        ("1000000", "parity", "more than 10000000")])  # n! cut short, never built
+    def test_exact_law_is_refused_by_its_charge(self, capsys, n, statistic, needs):
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", n, "--t", "1",
+                                 "--statistic", statistic)
+        assert code == 3
         assert out == ""
         assert json.loads(err.splitlines()[0])["error"] == {
-            "code": "usage", "message": "dense kernels cover 2 <= n <= 8; n=9 needs sampler mode"}
+            "code": "capacity",
+            "message": f"kernel evolution rtt n={n} t=1 needs {needs} branches, over the budget "
+                       "of 10000000; use Monte-Carlo mode"}
 
 
 class TestSstCheck:
@@ -565,6 +580,71 @@ class TestExitCodes:
         assert error["code"] == "capacity"
         assert f"stationary law of {statistic} n=100000000 needs " in error["message"]
 
+    # counts past what str() prints: b^t, and support sizes of thousands of digits
+    HUGE_CHARGES = [
+        ("sst-check", "--chain", "rtt", "--n", "10", "--t", "5000", "--statistic", "top_card",
+         "--predicate", "any_to_top"),
+        ("stat-mix", "--chain", "rtt", "--n", "4000", "--t", "1", "--statistic", "block_sets:2",
+         "--samples", "1", "--seed", "1"),
+        ("stat-mix", "--chain", "rtt", "--n", "2000", "--t", "1", "--statistic",
+         "top_k_order:2000", "--samples", "1", "--seed", "1"),
+        ("stat-mix", "--chain", "rtt", "--n", "20000", "--t", "1", "--statistic",
+         "top_k_set:10000", "--samples", "1", "--seed", "1"),
+        ("stat-mix", "--chain", "rtt", "--n", "2000", "--t", "1", "--statistic",
+         "relative_order:" + ",".join(map(str, range(1, 2001))), "--samples", "1", "--seed", "1")]
+
+    @pytest.mark.parametrize("argv", HUGE_CHARGES,
+                             ids=["paths", "block_sets", "top_k_order", "top_k_set",
+                                  "relative_order"])
+    def test_charge_too_long_to_print_is_refused(self, capsys, monkeypatch, argv):
+        """A count over the budget and past the digits str() prints is cut
+        short and named as a bound: exit 3, not a usage error from str()."""
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err.splitlines()[0])["error"]
+        assert error["code"] == "capacity"
+        assert " needs more than 10000000 branches, over the budget of 10000000; " \
+            in error["message"]
+
+    def test_printable_charge_is_named_in_full(self, capsys, monkeypatch):
+        """1500! has 4,115 digits, within what str() prints, so the refusal
+        names it digit for digit."""
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "stat-mix", "--chain", "rtt", "--n", "1500", "--t", "1",
+                                 "--statistic", "top_k_order:1500", "--samples", "1",
+                                 "--seed", "1")
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["error"]["message"] == (
+            f"stationary law of top_k_order:1500 n=1500 needs {math.factorial(1500)} branches, "
+            "over the budget of 10000000; use a statistic with fewer values")
+
+    def test_stationary_law_needs_no_factorial(self, capsys, monkeypatch):
+        """The stationary law counts over its own total, 30000 here, not n!."""
+        def refuse(*args):
+            raise AssertionError("the stationary law built a factorial")
+
+        monkeypatch.setattr(shuffles, "factorial", refuse)
+        monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
+        doc = run_json(capsys, "stat-mix", "--chain", "rtt", "--n", "30000", "--t", "1",
+                       "--statistic", "top_card", "--samples", "1", "--seed", "1")
+        stationary = doc["results"]["stationary"]
+        assert len(stationary["support"]) == 30000
+        assert set(stationary["weights"]) == {"1/30000"}
+
+    def test_key_error_is_internal(self, capsys, monkeypatch):
+        """No part of mixscope raises KeyError on purpose, so one is a bug."""
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli.RUNNERS, "decompose", broken)
+        code, out, err = run_cli(capsys, "decompose", "--coloring", "RRBB")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == {
+            "code": "internal", "message": "KeyError: 'missing'"}
+
     def test_long_horizons_are_budgeted(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXSCOPE_BUDGET", "1000")
         # 6 vertices x 3 moves x 69 steps: the sweep runs on to t* for c=2
@@ -661,15 +741,15 @@ class TestExitCodes:
         ends, a few thousand rule calls rather than one per alive window
         (about 320,000), and refused before any window is listed: every
         rule call comes from the closed-form count, and no table is swept."""
-        real_tail, real_states = cycle._halfstep_tail, cycle._alive_states
+        real_tail, real_windows = cycle._halfstep_tail, cycle._alive_windows
         calls = 0
         counting = False
 
-        def counting_states(horizon, absorbed):
+        def counting_windows(horizon, absorbed):
             nonlocal counting
             counting = True
             try:
-                return real_states(horizon, absorbed)
+                return real_windows(horizon, absorbed)
             finally:
                 counting = False
 
@@ -688,7 +768,7 @@ class TestExitCodes:
             raise AssertionError("a table was swept before the refused charge")
 
         monkeypatch.setattr(cycle, "_halfstep_tail", counting_tail)
-        monkeypatch.setattr(cycle, "_alive_states", counting_states)
+        monkeypatch.setattr(cycle, "_alive_windows", counting_windows)
         monkeypatch.setattr(cycle, "_sweep", no_sweep)
         monkeypatch.delenv("MIXSCOPE_BUDGET", raising=False)
         code, out, err = run_cli(capsys, "cycle", "--coloring", "R" * 400 + "B" * 400,
@@ -716,7 +796,7 @@ class TestExitCodes:
         assert out == ""
         error = json.loads(err.splitlines()[0])["error"]
         assert error["code"] == "internal"
-        assert "not 6" in error["message"]
+        assert "not 3" in error["message"]
 
     def test_broken_invariant_in_stat_mix_is_internal(self, capsys, monkeypatch):
         """Deck counts that miss the total mass exit 4, not usage."""
@@ -884,10 +964,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value,code,kind", [("inf", 2, "usage"), ("nan", 2, "usage"),
                                                   ("1e308", 2, "usage"), ("", 2, "usage"),
+                                                  ("1e-200", 2, "usage"), ("1e-160", 2, "usage"),
                                                   ("1e20", 3, "capacity")])
     def test_chebyshev_value_without_a_finite_time(self, capsys, value, code, kind):
-        """A c whose t* is not finite is bad input, as is an empty value; a
-        finite but huge t* is a sweep the budget refuses."""
+        """A c whose t* or guarantee 1/c^2 is not finite is bad input, as is
+        an empty value; a finite but huge t* is a sweep the budget refuses."""
         got, out, err = run_cli(capsys, "cycle", "--coloring", "RRBRBB", "--x0", "1",
                                 "--horizon", "4", "--chebyshev", value)
         assert got == code

@@ -22,7 +22,6 @@ from mixscope import cycle
 from mixscope.budget import CapacityError
 from mixscope.dist import Distribution, evolve, push_forward
 from mixscope.cycle import (
-    AlternatingSet,
     alternating_decomposition,
     check_alternating,
     check_red_dominance,
@@ -99,15 +98,15 @@ class TestAlternatingNumber:
 class TestDecomposition:
     def test_alternating_coloring_single_set(self):
         sets = alternating_decomposition(parse_coloring("RBRB"))
-        assert [a.members for a in sets] == [(0, 1, 2, 3)]
+        assert sets == [(0, 1, 2, 3)]
 
     def test_blocked_pairs(self):
         sets = alternating_decomposition(parse_coloring("RRBB"))
-        assert sorted(a.members for a in sets) == [(0, 2), (1, 3)]
+        assert sorted(sets) == [(0, 2), (1, 3)]
 
     def test_mod6_canonical(self):
         sets = alternating_decomposition(MOD6)
-        assert sorted(a.members for a in sets) == [
+        assert sorted(sets) == [
             (0, 2, 3, 5, 7, 10),
             (1, 4, 6, 8, 9, 11),
         ]
@@ -123,10 +122,10 @@ class TestDecomposition:
             k = compute_k(coloring)
             sets = alternating_decomposition(coloring)
             assert len(sets) == k
-            flat = sorted(v for a in sets for v in a.members)
+            flat = sorted(v for a in sets for v in a)
             assert flat == list(range(size))
             for a in sets:
-                assert check_alternating(coloring, a.members)
+                assert check_alternating(coloring, a)
 
     def test_structure_randomized(self):
         rng = random.Random(20240817)
@@ -136,8 +135,8 @@ class TestDecomposition:
             k = compute_k(coloring)
             sets = alternating_decomposition(coloring)
             assert len(sets) == k
-            assert sorted(v for a in sets for v in a.members) == list(range(size))
-            assert all(check_alternating(coloring, a.members) for a in sets)
+            assert sorted(v for a in sets for v in a) == list(range(size))
+            assert all(check_alternating(coloring, a) for a in sets)
 
     @pytest.mark.parametrize("size", [2, 4, 6, 8])
     def test_k_is_minimal_exhaustive(self, size):
@@ -150,21 +149,21 @@ class TestDecomposition:
 
 class TestMidpoints:
     def test_pair_set_has_both_midpoints(self):
-        assert midpoints(AlternatingSet((0, 2)), 4) == (2, 6)
+        assert midpoints((0, 2), 4) == (2, 6)
 
     def test_rbrb_is_all_edges(self):
-        assert midpoints(AlternatingSet((0, 1, 2, 3)), 4) == (1, 3, 5, 7)
+        assert midpoints((0, 1, 2, 3), 4) == (1, 3, 5, 7)
 
     def test_mod6_explicit_sets(self):
         # the 12-cycle split used throughout: one 8-set and one 4-set
-        a = AlternatingSet((0, 2, 3, 5, 6, 8, 9, 11))
-        b = AlternatingSet((1, 4, 7, 10))
+        a = (0, 2, 3, 5, 6, 8, 9, 11)
+        b = (1, 4, 7, 10)
         assert midpoints(a, 12) == (2, 5, 8, 11, 14, 17, 20, 23)
         assert midpoints(b, 12) == (5, 11, 17, 23)
 
     def test_gap_examples(self):
-        assert max_gap(AlternatingSet((0, 1, 2, 3)), 4) == 1
-        assert max_gap(AlternatingSet((0, 2)), 4) == 2
+        assert max_gap((0, 1, 2, 3), 4) == 1
+        assert max_gap((0, 2), 4) == 2
 
     def test_cyclic_distance(self):
         assert cyclic_distance(0, 3, 12) == 3
@@ -178,8 +177,8 @@ class TestMidpoints:
             coloring = parse_coloring(random_balanced(rng, size))
             for a in alternating_decomposition(coloring):
                 mids = midpoints(a, size)
-                assert len(mids) == len(a.members)
-                occupied = {2 * v for v in a.members}
+                assert len(mids) == len(a)
+                occupied = {2 * v for v in a}
                 assert not occupied & set(mids)
 
 
@@ -357,7 +356,7 @@ class TestClaimedBounds:
                 for a in alternating_decomposition(coloring):
                     g = max_gap(a, size)
                     if g > 2 * k - 1:
-                        offenders.append(("".join(coloring), k, a.members, g))
+                        offenders.append(("".join(coloring), k, a, g))
         assert offenders == [], (
             f"{len(offenders)} decomposition sets exceed the 2k-1 gap bound, "
             f"first: {offenders[0]}; for some colorings no conforming "
@@ -399,7 +398,7 @@ class TestClaimedBounds:
         for aset in alternating_decomposition(MOD6):
             for t, (red, blue) in enumerate(reflection_balance(MOD6, aset, 0, 8)):
                 if red != blue:
-                    unfair.append((aset.members, t, red, blue))
+                    unfair.append((aset, t, red, blue))
         assert unfair == [], (
             f"midpoint-reflection is not color-fair: "
             f"{[(m, t, str(r), str(b)) for m, t, r, b in unfair[:4]]} "

@@ -1,14 +1,16 @@
 """Deck chains, their dense kernels over decks, riffle mechanics, and statistics."""
 
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import count, permutations, product
+from math import comb, factorial
 
 import pytest
 from conftest import statistic_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixscope.budget import CapacityError
+from mixscope import shuffles
+from mixscope.budget import CapacityError, bounded_product
 from mixscope.dist import Distribution, evolve, push_forward
 from mixscope.shuffles import (
     STATISTIC_KINDS,
@@ -228,3 +230,26 @@ class TestStationaryLaws:
             law = stationary_statistic_distribution(n, kind)
             assert law.support == direct.support, kind.label()
             assert law.weights == direct.weights, kind.label()
+
+    def test_binomial_factors_multiply_to_the_binomial(self):
+        """Every running product of the factors is whole and none falls, so
+        a product cut short is a lower bound and a whole one exact."""
+        for m in range(13):
+            for k in range(m + 1):
+                running = [1]
+                for factor in shuffles._binomial(m, k):
+                    assert factor >= 1
+                    running.append(running[-1] * factor)
+                assert all(r.denominator == 1 for r in running[1:]), (m, k)
+                assert running[-1] == comb(m, k), (m, k)
+        assert bounded_product(shuffles._binomial(3000, 1500)) == comb(3000, 1500)
+
+    def test_bounded_product_stops_reading(self):
+        """An endless stream of factors is cut at the first running product
+        longer than 4 bits per digit str() prints, past 10^4300 and the
+        budget: 2 x 3 x ... stops at 1,831!."""
+        factors = count(2)
+        cut = bounded_product(factors)
+        last = next(factors) - 1  # the last factor read
+        assert cut == factorial(last)
+        assert factorial(last - 1).bit_length() <= 4 * 4300 < cut.bit_length()
