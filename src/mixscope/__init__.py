@@ -25,10 +25,10 @@ from .dist import (
     InvariantError,
     Kernel,
     distribution_from_json,
-    distribution_to_json,
     evolve,
     push_forward,
     separation_distance,
+    to_json,
     total_variation,
 )
 from .shuffles import (
@@ -83,10 +83,10 @@ __all__ = [
     "Distribution",
     "Kernel",
     "distribution_from_json",
-    "distribution_to_json",
     "evolve",
     "push_forward",
     "separation_distance",
+    "to_json",
     "total_variation",
     "Kind",
     "apply_move",

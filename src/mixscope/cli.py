@@ -39,16 +39,7 @@ from .cycle import (
     separation_profile,
     vertex_count_tail,
 )
-from .dist import (
-    Distribution,
-    InvariantError,
-    _int_to_str,
-    distribution_to_json,
-    format_rational,
-    separation_distance,
-    state_to_json,
-    total_variation,
-)
+from .dist import InvariantError, separation_distance, to_json, total_variation
 from .shuffles import CHAINS, parse_statistic, stationary_statistic_distribution
 from .verify import (
     ALWAYS,
@@ -83,39 +74,8 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
-def _too_long_for_str(value: int) -> bool:
-    """True when str(value) would exceed Python's integer string-conversion
-    limit (sys.get_int_max_str_digits; 0 means no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # anything below 2^(3 * limit), itself below 10^limit, is short enough
-    return bool(limit) and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit
-
-
-def _jsonable(value, use_float: bool):
-    if isinstance(value, Distribution):
-        if not use_float:
-            return distribution_to_json(value)
-        # --float changes only the rendering; the law itself stays exact
-        return {"support": [state_to_json(s) for s in value.support],
-                "weights": [float(w) for w in value.weights], "mode": "float"}
-    if isinstance(value, Fraction):
-        return float(value) if use_float else format_rational(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v, use_float) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, use_float) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool) and _too_long_for_str(value):
-        # json and csv would call int.__repr__, which refuses it; like the
-        # rationals it becomes an exact decimal string
-        return _int_to_str(value)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return state_to_json(value)
-
-
 def render_json(payload: dict, use_float: bool) -> str:
-    payload = _jsonable(payload, use_float)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(to_json(payload, use_float), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -134,7 +94,7 @@ def _flatten(prefix: str, value, rows: list) -> None:
 
 
 def render_csv(payload: dict, use_float: bool) -> str:
-    payload = _jsonable(payload, use_float)
+    payload = to_json(payload, use_float)
     rows: list = []
     for section in ("config", "version", "results"):
         _flatten(section, payload[section], rows)
@@ -161,9 +121,8 @@ def _run_stat_mix(args: argparse.Namespace) -> dict:
         }
     mc = monte_carlo_conditional(args.chain, args.n, args.t, ALWAYS, statistic,
                                  args.samples, args.seed)
-    freq = [[state_to_json(v), f] for v, f in mc.conditional_freq.items()]
     return {
-        "law_estimate": freq,
+        "law_estimate": [*mc.conditional_freq.items()],
         "stationary": stationary,
         "samples": mc.samples,
         "seed": mc.seed,
@@ -175,16 +134,7 @@ def _run_sst_check(args: argparse.Namespace) -> dict:
     statistic = parse_statistic(args.statistic, args.n)
     predicate = parse_predicate(args.predicate, args.n, args.chain)
     if args.samples is None:
-        report = check_strong_stationarity(args.chain, args.n, args.t, predicate, statistic)
-        return {
-            "q": report.q,
-            "conditional": report.conditional,
-            "target": report.target,
-            "is_strongly_stationary": report.is_strongly_stationary,
-            "sep_bound": report.sep_bound,
-            "max_pointwise_deviation": report.max_pointwise_deviation,
-            "predicate_stable": report.predicate_stable,
-        }
+        return vars(check_strong_stationarity(args.chain, args.n, args.t, predicate, statistic))
     mc = monte_carlo_conditional(args.chain, args.n, args.t, predicate, statistic,
                                  args.samples, args.seed)
     return {
@@ -192,8 +142,8 @@ def _run_sst_check(args: argparse.Namespace) -> dict:
         "seed": mc.seed,
         "satisfied": mc.satisfied,
         "q_hat": mc.q_hat,
-        "q_interval_95": list(mc.q_interval),
-        "conditional_freq": [[state_to_json(v), f] for v, f in mc.conditional_freq.items()],
+        "q_interval_95": mc.q_interval,
+        "conditional_freq": [*mc.conditional_freq.items()],
         "certifies": False,
     }
 
@@ -208,21 +158,22 @@ def _parse_sets(raw: str | None):
 
 
 def _chebyshev_times(raw: str, k: int):
-    """The c values of --chebyshev and the whole-step time t* of each."""
+    """(c, whole-step time t*, guarantee 1/c^2) for each c of --chebyshev."""
     message = f"bad --chebyshev value {raw!r}"
     try:
         cs = [float(c) for c in raw.split(",")]
     except ValueError:
         raise UsageError(message)
-    t_stars = []
+    times = []
     for c in cs:
         t_star = chebyshev_time(k, c)
+        guarantee = 1.0 / (c * c) if c * c else math.inf
         # nan, inf, so large a c that t* overflows, or so small a c that its
         # guarantee 1/c^2 divides by zero or overflows
-        if not (math.isfinite(t_star) and c * c and math.isfinite(1.0 / (c * c))):
+        if not (math.isfinite(t_star) and math.isfinite(guarantee)):
             raise UsageError(message)
-        t_stars.append(math.ceil(t_star))
-    return cs, t_stars
+        times.append((c, math.ceil(t_star), guarantee))
+    return times
 
 
 def _run_cycle(args: argparse.Namespace) -> dict:
@@ -232,20 +183,20 @@ def _run_cycle(args: argparse.Namespace) -> dict:
     k = compute_k(coloring)
     # Chebyshev times are read off the same sweep, which runs past the
     # horizon when a t* lies beyond it; only horizon + 1 values are reported.
-    cs, t_stars = _chebyshev_times(args.chebyshev, k) if args.chebyshev is not None else ([], [])
+    times = _chebyshev_times(args.chebyshev, k) if args.chebyshev is not None else []
     # the tails charge the budget up front, so one they refuse costs no sweep
     cov = coverage_time_tail(coloring, args.x0, horizon, sets=sets)
     vtx = vertex_count_tail(coloring, args.x0, horizon)
     dst = distance_moved_tail(coloring, args.x0, horizon)
-    profile = separation_profile(coloring, args.x0, max([horizon, *t_stars]))
+    profile = separation_profile(coloring, args.x0, max([horizon, *(t for _, t, _ in times)]))
     seps = profile[:horizon + 1]
     bound_ok = [s <= c for s, c in zip(seps, cov)]
     first_bad = next((t for t, ok in enumerate(bound_ok) if not ok), None)
     dom = check_red_dominance(coloring, args.x0, horizon, sets=sets)
     results = {
         "k": k,
-        "sets": [list(m) for m in dom.sets],
-        "midpoints_half_units": [list(midpoints(m, len(coloring))) for m in dom.sets],
+        "sets": dom.sets,
+        "midpoints_half_units": [midpoints(m, len(coloring)) for m in dom.sets],
         "separation": seps,
         "coverage_tail": cov,
         "vertex_count_tail": vtx,
@@ -257,13 +208,13 @@ def _run_cycle(args: argparse.Namespace) -> dict:
         "dominance": {
             "sets_source": "explicit" if sets is not None else "canonical",
             "precondition_holds": dom.precondition_holds,
-            "failing_sets": list(dom.failing_sets),
+            "failing_sets": dom.failing_sets,
             "nearest": [
                 {
                     "set": i,
                     "distance": rep.distance,
                     "color": rep.color if rep.color is not None else "ambiguous",
-                    "vertices": list(rep.nearest),
+                    "vertices": rep.nearest,
                 }
                 for i, rep in enumerate(dom.nearest)
             ],
@@ -273,17 +224,11 @@ def _run_cycle(args: argparse.Namespace) -> dict:
         },
     }
     if args.chebyshev is not None:
-        block = []
-        for c, t_star in zip(cs, t_stars):
-            sep_at = profile[t_star]
-            block.append({
-                "c": c,
-                "t_star": t_star,
-                "separation_at_t_star": sep_at,
-                "guarantee": 1.0 / (c * c),
-                "ok": float(sep_at) <= 1.0 / (c * c),
-            })
-        results["chebyshev"] = block
+        results["chebyshev"] = [
+            {"c": c, "t_star": t_star, "separation_at_t_star": profile[t_star],
+             "guarantee": guarantee, "ok": float(profile[t_star]) <= guarantee}
+            for c, t_star, guarantee in times
+        ]
     return results
 
 
@@ -296,8 +241,8 @@ def _run_decompose(args: argparse.Namespace) -> dict:
     flat = sorted(v for a in sets for v in a)
     results = {
         "k": k,
-        "sets": [list(a) for a in sets],
-        "midpoints_half_units": [list(midpoints(a, size)) for a in sets],
+        "sets": sets,
+        "midpoints_half_units": [midpoints(a, size) for a in sets],
         "max_gaps": gaps,
         "gap_bound": 2 * k - 1,
         "gaps_within_bound": all(g <= 2 * k - 1 for g in gaps),

@@ -18,9 +18,10 @@ vertex, odd = edge midpoint): vertex to an adjacent edge, then to a vertex.
 The walk's visited range is an interval of half-units; midpoints of an
 alternating set are half-unit positions halfway between consecutive
 members on the member-free arc.  The color law reads the red vertices off
-two tables of the cycle's size (vertex to edge, edge to vertex), so the
-red mass at every t up to the horizon is an integer over 4^t.  Separation
-from fair (1/2, 1/2) and the red-dominance margin are both built from it.
+two tables of the cycle's size (vertex to edge, edge to vertex), so
+Pr(red) - Pr(blue) at every t up to the horizon is an integer over 4^t.
+Separation from fair (1/2, 1/2) is its absolute value and the
+red-dominance margin its half.
 
 coverage_time_tail computes Pr(T > t) exactly, where T is the first refined
 time the visited interval holds at least one midpoint of every set of the
@@ -201,33 +202,32 @@ def _cycle_tables(size: int) -> tuple:
     return ((vertices, vertices[1:] + vertices[:1]), (vertices[-1:] + vertices[:-1], vertices))
 
 
-def _red_counts(coloring: tuple, x0: int, horizon: int) -> list:
-    """Red mass of the lazy walk from x0 at t = 0..horizon, as integers over 4^t.
+def _color_law(coloring: tuple, x0: int, horizon: int) -> list:
+    """Pr(red) - Pr(blue) for the lazy walk from x0 at t = 0..horizon:
+    (2r - 4^t) / 4^t for r red paths.
 
     One _sweep of the two cycle tables, charged to the budget as vertices
-    x 3 moves x steps.
+    x 3 moves x steps.  On two vertices both neighbours are the other one,
+    so the tables still walk the cycle: a lazy step moves with probability
+    1/2.
     """
     size = len(coloring)
     _check_start(size, x0, horizon)
-    if size < 3:
-        raise ValueError("cycle needs at least 3 vertices")
     require_within_budget(size * 3 * horizon, f"lazy walk on {size} vertices to t={horizon}",
                           "use a shorter horizon")
     reds = itemgetter(*(v for v in range(size) if coloring[v] == RED), size)
-    return _sweep(_cycle_tables(size), x0, horizon, lambda counts: sum(reds(counts)))
+    red_counts = _sweep(_cycle_tables(size), x0, horizon, lambda counts: sum(reds(counts)))
+    return [Fraction(2 * red - 4 ** t, 4 ** t) for t, red in enumerate(red_counts)]
 
 
 def separation_profile(coloring: tuple, x0: int, horizon: int):
     """Exact color separation at every t in 0..horizon, from one integer sweep.
 
-    The target is fair, so separation is 1 - 2 min(red, blue) / 4^t.
+    The target is fair, so separation is 1 - 2 min(red, blue) / 4^t, that
+    is |Pr(red) - Pr(blue)|.
     """
     validate_coloring(coloring)
-    out = []
-    for t, red in enumerate(_red_counts(coloring, x0, horizon)):
-        total = 4 ** t
-        out.append(Fraction(total - 2 * min(red, total - red), total))
-    return out
+    return [abs(d) for d in _color_law(coloring, x0, horizon)]
 
 
 def _alternating_members(coloring: tuple, members) -> tuple:
@@ -533,11 +533,11 @@ def check_red_dominance(coloring: tuple, x0: int, horizon: int, sets=None) -> Do
     if not precondition:
         return DominanceReport(partition, tuple(nearest_reports), False, tuple(failing),
                                None, None, None)
-    margins = [Fraction(2 * red - 4 ** t, 2 * 4 ** t)
-               for t, red in enumerate(_red_counts(coloring, x0, horizon))]
-    min_margin = min(margins)
-    return DominanceReport(partition, tuple(nearest_reports), True, (), min_margin >= 0,
-                           min_margin, margins.index(min_margin))
+    # the margin Pr(red) - 1/2 is half of Pr(red) - Pr(blue)
+    law = _color_law(coloring, x0, horizon)
+    least = min(law)
+    return DominanceReport(partition, tuple(nearest_reports), True, (), least >= 0,
+                           least / 2, law.index(least))
 
 
 def has_alternating_partition(coloring: tuple, parts: int) -> bool:

@@ -2,7 +2,7 @@
 
 A Distribution is an ordered finite support together with one exact
 Fraction weight per state; there is no approximate mode (the CLI's --float
-converts weights only when it renders a report).  Zero-weight states are
+converts weights only when to_json renders a report).  Zero-weight states are
 retained when they come from a declared universe: separation distance
 detects missing mass only if the missing states are present in the support.
 
@@ -27,6 +27,7 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -235,14 +236,19 @@ def evolve(kernel: Kernel, mu: Distribution, t: int) -> Distribution:
     )
 
 
-# JSON serialization.  Exact weights render as "num/den" with an explicit
-# denominator so the format is uniform; states map tuples to arrays.
-# Python refuses str() and int() on integers longer than a few thousand
-# digits (sys.get_int_max_str_digits), so long integers are converted in
-# pieces well below that limit, splitting at a power of ten.
+# JSON serialization.  to_json is the one writer of report values, and
+# distribution_from_json and state_from_json read exact laws and states
+# back.  Exact weights render as "num/den" with an explicit denominator so
+# the format is uniform; states map tuples to arrays.  Python refuses str()
+# and int() on integers longer than a few thousand digits
+# (sys.get_int_max_str_digits), so long integers are converted in pieces
+# well below that limit, splitting at a power of ten.
 
 _PIECE_DIGITS = 2000
 _PIECE_BITS = 6600  # 2^6600 has 1,987 digits, under _PIECE_DIGITS
+# 2^1920 < 10^640, the smallest nonzero limit Python accepts
+# (sys.int_info.str_digits_check_threshold): such an int always prints
+_ALWAYS_PRINTS_BITS = 1920
 
 
 def _int_to_str(n: int) -> str:
@@ -282,12 +288,36 @@ def parse_rational(s: str) -> Fraction:
     return -value if sign else value
 
 
-def state_to_json(state):
-    if isinstance(state, tuple):
-        return [state_to_json(v) for v in state]
-    if isinstance(state, Fraction):
-        return format_rational(state)
-    return state
+def to_json(value, use_float: bool = False):
+    """The JSON value of a report value.
+
+    A Fraction becomes "num/den", or a float under use_float; a tuple or
+    list an array; a dict an object with the same keys; a Distribution
+    {"support", "weights", "mode"}, whose states stay exact either way, as
+    --float changes only how weights render.  An int too long for str()
+    becomes its exact decimal string.  Anything else (bool, None, float,
+    str) is its own JSON value.  Dispatch is on the exact type, which is
+    faster than a chain of isinstance tests and leaves bool alone.
+    """
+    kind = type(value)
+    if kind is Fraction:
+        return float(value) if use_float else format_rational(value)
+    if kind is tuple or kind is list:
+        return [to_json(v, use_float) for v in value]
+    if kind is int:
+        if value.bit_length() <= _ALWAYS_PRINTS_BITS:
+            return value
+        # json and csv call int.__repr__, which refuses more digits than the
+        # limit (0: none); below 2^(3 * limit), itself below 10^limit, is short
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        too_long = limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit
+        return _int_to_str(value) if too_long else value
+    if kind is dict:
+        return {k: to_json(v, use_float) for k, v in value.items()}
+    if kind is Distribution:
+        return {"support": to_json(value.support), "weights": to_json(value.weights, use_float),
+                "mode": "float" if use_float else "exact"}
+    return value
 
 
 def state_from_json(obj):
@@ -296,17 +326,9 @@ def state_from_json(obj):
     return obj
 
 
-def distribution_to_json(d: Distribution) -> dict:
-    return {
-        "support": [state_to_json(s) for s in d.support],
-        "weights": [format_rational(w) for w in d.weights],
-        "mode": "exact",
-    }
-
-
 def distribution_from_json(obj: Mapping) -> Distribution:
-    """Read back an exact payload; a float rendering (--float) is lossy and
-    is refused."""
+    """Read back an exact payload (to_json of a law); a float rendering
+    (--float) is lossy and is refused."""
     if obj["mode"] != "exact":
         raise ValueError(f"cannot read a {obj['mode']!r} distribution back exactly")
     support = tuple(state_from_json(s) for s in obj["support"])

@@ -15,8 +15,8 @@ from fractions import Fraction as F
 import pytest
 
 from mixscope import __version__, cli, cycle, shuffles, verify
-from mixscope.cli import _jsonable, main
-from mixscope.dist import InvariantError, distribution_to_json, parse_rational
+from mixscope.cli import main
+from mixscope.dist import InvariantError, parse_rational, to_json
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +111,8 @@ class TestReportShape:
 
 
 # SHA-256 of the --float report bytes, pinned before float rendering moved
-# into cli._jsonable: the float view of every law and rational must not move
+# into the report writer (now dist.to_json): the float view of every law and
+# rational must not move
 FLOAT_PINS = [
     (("stat-mix", "--chain", "rtt", "--n", "4", "--t", "2", "--statistic", "top_k_order:2"),
      "b1d246871b3d9e93bedf1aa56b636934fb843dc5571fabbc0c58585a0505d18d",
@@ -322,7 +323,7 @@ class TestStatMix:
         stat = shuffles.parse_statistic("top_card", 9)
         _, law = verify.conditional_statistic_distribution(
             verify.enumerate_paths("rtt", 9, 2), verify.ALWAYS, stat, 2)
-        assert doc["results"]["law"] == distribution_to_json(law)
+        assert doc["results"]["law"] == to_json(law)
 
     @pytest.mark.parametrize("n,statistic,needs", [
         ("10", "top_card", "36288000"),  # 10! x 10 x 1
@@ -379,6 +380,15 @@ class TestCycle:
         assert res["coverage_tail"] == ["1/1", "0/1", "0/1"]
         assert res["coverage_bound_holds"] is True
         assert res["distance_bound_holds"] is True
+
+    def test_two_vertex_coloring_runs(self, capsys):
+        """Every cycle function answers for a 2-vertex coloring, the color
+        sweep too: the color is fair from t = 1 on."""
+        doc = run_json(capsys, "cycle", "--coloring", "RB", "--x0", "0", "--horizon", "3")
+        res = doc["results"]
+        assert res["separation"] == ["1/1", "0/1", "0/1", "0/1"]
+        assert res["dominance"]["min_margin"] == "0/1"
+        assert res["dominance"]["argmin_t"] == 1
 
     def test_mod6_reports_coverage_violation(self, capsys):
         doc = run_json(capsys, "cycle", "--coloring", "RRBRBBRRBRBB",
@@ -506,15 +516,6 @@ class TestCounterexample:
             value = rows[("results.nonnegative_path_count", "")]
         assert isinstance(value, str) and len(value) > 4300
         assert parse_rational(value) == math.comb(15000, 7500)
-
-    def test_integer_rendering_switches_at_the_limit(self):
-        limit = sys.get_int_max_str_digits()
-        longest = 10 ** limit - 1
-        assert _jsonable(longest, False) is longest
-        assert _jsonable(-longest, False) == -longest
-        assert _jsonable(10 ** limit, False) == "1" + "0" * limit
-        assert _jsonable(-10 ** limit, False) == "-1" + "0" * limit
-        assert _jsonable(True, False) is True
 
 
 class TestExitCodes:

@@ -206,6 +206,12 @@ class TestLazyWalk:
     def test_point_start_has_full_separation(self):
         assert exact_color_separation(parse_coloring("RBRB"), 0, 0) == 1
 
+    @pytest.mark.parametrize("x0", [0, 1])
+    def test_two_vertex_profile_closed_form(self, x0):
+        """On two vertices a lazy step moves with probability 1/2, so the
+        color is fair from t = 1 on: separation 1 at t = 0, then 0."""
+        assert separation_profile(parse_coloring("RB"), x0, 5) == [F(1)] + [F(0)] * 5
+
     def test_profile_matches_single_queries(self):
         prof = separation_profile(MOD6, 0, 5)
         assert len(prof) == 6

@@ -5,6 +5,8 @@ are asserted literally; the rest are structural properties checked over
 randomized rational inputs.
 """
 
+import json
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -17,7 +19,6 @@ from mixscope.dist import (
     InvariantError,
     Kernel,
     distribution_from_json,
-    distribution_to_json,
     evolve,
     format_rational,
     law_from_tally,
@@ -25,7 +26,7 @@ from mixscope.dist import (
     push_forward,
     separation_distance,
     state_from_json,
-    state_to_json,
+    to_json,
     total_variation,
 )
 
@@ -224,6 +225,34 @@ class TestKernelValidation:
             Kernel((0, 1), {0: [(0, F(1, 2)), (1, F(1, 3))], 1: [(1, F(1))]})
 
 
+LIMIT = sys.get_int_max_str_digits()  # the longest int str() prints has LIMIT digits
+# --float renders weights only: a state stays exact
+LAW = Distribution.exact([((1, ("a", (2, F(1, 3)))), F(1, 4)), ("none", F(3, 4))])
+LAW_SUPPORT = [[1, ["a", [2, "1/3"]]], "none"]
+# a value, its JSON value, and its JSON value under use_float (--float)
+TO_JSON_ROWS = [
+    pytest.param(LAW, {"support": LAW_SUPPORT, "weights": ["1/4", "3/4"], "mode": "exact"},
+                 {"support": LAW_SUPPORT, "weights": [0.25, 0.75], "mode": "float"}, id="law"),
+    pytest.param(Distribution.point_mass("a", universe="ab"),
+                 {"support": ["a", "b"], "weights": ["1/1", "0/1"], "mode": "exact"},
+                 {"support": ["a", "b"], "weights": [1.0, 0.0], "mode": "float"},
+                 id="point-mass"),
+    pytest.param(F(-3, 8), "-3/8", -0.375, id="rational"),
+    pytest.param(F(2), "2/1", 2.0, id="whole-rational"),
+    pytest.param((1, (F(1, 2), "none")), [1, ["1/2", "none"]], [1, [0.5, "none"]], id="tuple"),
+    pytest.param({"q": F(1, 3), "sets": [(0, 1)]}, {"q": "1/3", "sets": [[0, 1]]},
+                 {"q": 1 / 3, "sets": [[0, 1]]}, id="dict"),
+    pytest.param(True, True, True, id="true"),
+    pytest.param(None, None, None, id="none"),
+    pytest.param(0.1, 0.1, 0.1, id="float"),
+    pytest.param(10 ** LIMIT - 1, 10 ** LIMIT - 1, 10 ** LIMIT - 1, id="longest-int"),
+    pytest.param(1 - 10 ** LIMIT, 1 - 10 ** LIMIT, 1 - 10 ** LIMIT, id="longest-negative-int"),
+    pytest.param(10 ** LIMIT, "1" + "0" * LIMIT, "1" + "0" * LIMIT, id="int-at-limit"),
+    pytest.param(-10 ** LIMIT, "-1" + "0" * LIMIT, "-1" + "0" * LIMIT,
+                 id="negative-int-at-limit"),
+]
+
+
 class TestBoundsAndFormats:
     def test_format_rational_always_explicit(self):
         assert format_rational(F(1)) == "1/1"
@@ -250,18 +279,21 @@ class TestBoundsAndFormats:
 
     def test_state_json_nested_tuples(self):
         state = (1, ("a", (2, 3)), "none")
-        assert state_from_json(state_to_json(state)) == state
+        assert state_from_json(to_json(state)) == state
 
     @given(mu=rational_distribution([("a", 1), ("b", 2), "c"]))
     def test_distribution_json_round_trip(self, mu):
-        again = distribution_from_json(distribution_to_json(mu))
+        again = distribution_from_json(to_json(mu))
         assert again == mu
 
-    def test_weights_serialized_num_den(self):
-        d = Distribution.point_mass("a", universe="ab")
-        js = distribution_to_json(d)
-        assert js["weights"] == ["1/1", "0/1"]
-        assert js["mode"] == "exact"
+    @pytest.mark.parametrize("value,exact,floats", TO_JSON_ROWS)
+    def test_to_json(self, value, exact, floats):
+        """Each row's JSON value, exact and under --float, and its bytes:
+        json.dumps tells True from 1 and prints every int the writer keeps."""
+        for use_float, expected in ((False, exact), (True, floats)):
+            got = to_json(value, use_float)
+            assert got == expected
+            assert json.dumps(got) == json.dumps(expected)
 
     def test_float_payload_is_not_read_back(self):
         # --float renders a lossy view; only exact payloads round-trip
